@@ -89,7 +89,7 @@ fn main() {
             "table3_4 [--full] [--cells N] [--trials T] [--seed S]\n\
              Reproduces Tables 3 & 4 (IBLT parallel vs serial timings).\n\
              'Par' columns correspond to the paper's GPU columns (rayon\n\
-             substitution; see DESIGN.md)."
+             substitution)."
         );
         return;
     }

@@ -48,8 +48,10 @@
 //! governs the subround count.
 //!
 //! For repeated decoding (a reconciliation service running every epoch),
-//! [`AtomicIblt::par_recover_in`] runs the candidate-tracking variant out
-//! of a reusable [`RecoveryWorkspace`], and
+//! [`AtomicIblt::par_recover_in`] runs the same subrounds as one fused
+//! pass each (a pure cell's key is deleted from the other subtables by
+//! the thread that found it, no barrier inside the subround), with
+//! candidate tracking, out of a reusable [`RecoveryWorkspace`], and
 //! [`AtomicIblt::snapshot_into`] / [`AtomicIblt::load_iblt`] /
 //! [`Iblt::subtract_assign`] overwrite pooled tables in place — together
 //! they make the whole snapshot → subtract → recover cycle

@@ -7,26 +7,29 @@
 //! * `count` — `AtomicI64`, updated with `fetch_add`;
 //! * `key_sum`, `check_sum` — `AtomicU64`, updated with `fetch_xor`.
 //!
-//! Recovery proceeds in **subrounds** (Section 6): subround `j` scans
-//! subtable `j` for pure cells in parallel, *then* deletes the recovered
-//! keys from all subtables in parallel. The two-phase structure means the
-//! purity scan never races with deletions; deletions to shared cells of
-//! different recovered keys are resolved by the atomics (that contention is
-//! why the paper needs atomic XOR at all). A key is found in at most one
-//! pure cell per subround because it occupies exactly one cell of the
-//! scanned subtable — the duplicate-peel hazard the paper's subtable scheme
-//! exists to prevent.
+//! Recovery proceeds in **subrounds** (Section 6): subround `j` visits
+//! subtable `j`, and the thread that finds a pure cell removes its key
+//! from the *other* subtables in the same pass — one kernel launch per
+//! subround, no barrier inside it. A key occupies exactly one cell of the
+//! scanned subtable, the pure cell its finder stands on, so nothing else
+//! writes subtable `j` during subround `j`; every other write is a
+//! commuting atomic update into a subtable nobody is reading (that
+//! contention is why the paper needs atomic XOR at all), and a key is
+//! found at most once per subround — the duplicate-peel hazard the
+//! subtable scheme exists to prevent. [`AtomicIblt::par_recover`] keeps
+//! the plain scan-*then*-delete form as the tests' reference.
 
 use rayon::prelude::*;
 // ordering: every cell access is Relaxed — count/key_sum/check_sum updates
 // are commutative RMWs (fetch_add/fetch_xor) exactly like the paper's
-// atomic-XOR CUDA kernels, and subround phases are separated by rayon
-// fork-join barriers that already order scans against deletions. Checked by
-// the loom model in tests/loom_cells.rs.
+// atomic-XOR CUDA kernels, and subrounds are separated by rayon fork-join
+// barriers that order a subround's deletions before the next one's scan.
+// Checked by the loom models in tests/loom_cells.rs and workspace.rs.
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::Instant;
 
-use peel_graph::bits::Striped;
+use peel_graph::bits::AtomicBitset;
+use peel_graph::prefetch::prefetch_read;
 
 use crate::sync::{AtomicI64, AtomicU64};
 
@@ -34,7 +37,13 @@ use crate::cell::{fold48, Cell, SwarCell};
 use crate::config::IbltConfig;
 use crate::hashing::IbltHasher;
 use crate::serial::{Iblt, Recovery};
-use crate::workspace::RecoveryWorkspace;
+use crate::workspace::{AtomicSwarCell, RecoveryWorkspace, WorkerBuf};
+
+/// Finds a fused worker keeps between prefetching a key's other cells and
+/// deleting from them, so a batch's cache misses overlap.
+const DELETE_LAG: usize = 16;
+/// Smallest share of a subround worth a worker of its own.
+const MIN_SHARE: usize = 1024;
 
 /// A concurrently updatable IBLT with parallel (subround) recovery.
 pub struct AtomicIblt {
@@ -61,9 +70,9 @@ pub struct ParRecovery {
     pub rounds: u32,
     /// Keys recovered in each productive subround.
     pub per_subround: Vec<u64>,
-    /// Wall time of each productive subround, in nanoseconds (scan +
-    /// deletion phases), aligned with `per_subround` — the attribution
-    /// trace `peel-service` ships in its `Stats` metrics.
+    /// Wall time of each productive subround, in nanoseconds, aligned
+    /// with `per_subround` — the attribution trace `peel-service` ships
+    /// in its `Stats` metrics.
     pub per_subround_ns: Vec<u64>,
 }
 
@@ -130,8 +139,8 @@ impl AtomicIblt {
         keys.par_iter().for_each(|&k| self.delete(k));
     }
 
-    /// Snapshot a cell (only meaningful between phases — callers inside
-    /// recovery rely on the phase barriers for consistency).
+    /// Snapshot a cell (only meaningful between phases — `par_recover`
+    /// relies on its scan/delete barriers for consistency).
     fn read_cell(&self, idx: usize) -> Cell {
         Cell {
             count: self.count[idx].load(Relaxed),
@@ -140,7 +149,8 @@ impl AtomicIblt {
         }
     }
 
-    /// Parallel recovery by subrounds; peels the table down in place.
+    /// Parallel recovery by subrounds; peels the table down in place —
+    /// the reference form (scan, barrier, delete; allocating).
     ///
     /// Terminates when a full round of `r` silent subrounds passes (global
     /// fixpoint) — on success that means the table is empty.
@@ -228,7 +238,7 @@ impl AtomicIblt {
     /// behind [`Self::par_recover_frontier`], and the one
     /// `peel-service`'s pooled reconcile path runs every epoch.
     ///
-    /// Each subround scans its subtable in whichever direction is
+    /// Each subround visits its subtable in whichever direction is
     /// cheaper: a **dense** linear sweep of the whole subtable when the
     /// candidate list is broad (sequential loads, no per-cell
     /// bookkeeping), or a **candidate** scan of just the queued cells
@@ -238,11 +248,9 @@ impl AtomicIblt {
     /// subtable's last scan is in its pending list, and an unchanged or
     /// empty cell cannot have become pure — so the subround trace is
     /// identical to [`Self::par_recover`]'s either way (modulo the
-    /// `2^{-48}` folded-checksum caveat below). The purity scan
-    /// and the deletion phase collect into striped reusable buffers
-    /// merged by offset, replacing the old per-subround
-    /// `collect`/`fold`/`reduce` allocations. Returns a borrow of the
-    /// workspace's [`ParRecovery`].
+    /// `2^{-48}` folded-checksum caveat below), and each subround's keys
+    /// are listed in cell order whatever the thread count. Returns a
+    /// borrow of the workspace's [`ParRecovery`].
     ///
     /// The decode itself runs over the workspace's **packed SWAR
     /// lanes** ([`SwarCell`] layout): the entry pass folds every cell
@@ -289,14 +297,10 @@ impl AtomicIblt {
             }
         }
         if dense_mode {
-            // Abandon the partial seed; dense mode never reads it.
-            for p in ws.pending.iter_mut() {
-                p.clear();
-            }
-            ws.queued.reset(total, false);
-            // Fold the whole table into the SWAR lanes in one parallel
-            // sweep (the serial walk stopped early). Each index has
-            // exactly one writer, so plain relaxed stores suffice.
+            // Dense mode never reads the partial seed. Fold the whole
+            // table into the SWAR lanes in one parallel sweep (the serial
+            // walk stopped early). Each index has exactly one writer, so
+            // plain relaxed stores suffice.
             let lanes = &ws.lanes;
             (0..total).into_par_iter().for_each(|idx| {
                 lanes[idx].store(self.read_cell(idx).to_swar());
@@ -386,29 +390,21 @@ impl AtomicIblt {
                     }
                 }
             }
-            let dense_mode = nonempty * 8 > total;
-            if dense_mode {
-                for p in ws.pending.iter_mut() {
-                    p.clear();
-                }
-                ws.queued.reset(total, false);
-            }
-            (nonempty, dense_mode)
+            (nonempty, nonempty * 8 > total)
         };
         ws.prev_dense = nonempty * 8 > total;
         self.recover_core(ws, dense_mode)
     }
 
-    /// The shared subround loop of the pooled recoveries, running
-    /// entirely over the workspace's packed SWAR lanes: a cell touch
-    /// (purity read or deletion) hits one 16-byte record instead of
-    /// three parallel 8-byte arrays, and deletions issue two RMW
-    /// destinations per cell instead of three. `ws` must be reset for
-    /// this table's geometry with every lane seeded; in candidate mode
-    /// (`dense_mode == false`) the pending lists must hold every
-    /// nonempty cell. The scalar cell arrays of `self` are *not*
-    /// consumed — the table keeps its contents while the lanes are
-    /// peeled down, which is why [`Self::par_recover_in`] can take
+    /// The shared subround loop of the pooled recoveries: one
+    /// [`Self::fused_pass`] per subround, each worker over its contiguous
+    /// share of subtable `j` (or of `pending[j]`), entirely over the
+    /// workspace's packed SWAR lanes — a cell touch hits one 16-byte
+    /// record instead of three parallel 8-byte arrays. `ws` must be
+    /// reset for this table's geometry with every lane seeded; in
+    /// candidate mode (`dense_mode == false`) the pending lists must
+    /// hold every nonempty cell. The scalar cell arrays of `self` are
+    /// *not* consumed, which is why [`Self::par_recover_in`] can take
     /// `&self`.
     fn recover_core<'ws>(
         &self,
@@ -417,140 +413,135 @@ impl AtomicIblt {
     ) -> &'ws ParRecovery {
         let r = self.cfg.hashes;
         let per_table = self.cfg.cells_per_table;
-        let total = self.cfg.total_cells();
-        let RecoveryWorkspace {
-            queued,
-            pending,
-            found,
-            slot_key,
-            slot_dir,
-            slot_cursor,
-            touched_stripes,
-            lanes,
-            out,
-            prev_dense: _,
-        } = ws;
-        let lanes = &lanes[..];
+        let (lanes, out, pending) = (&ws.lanes[..], &mut ws.out, &mut ws.pending);
+        let queued = (!dense_mode).then_some(&ws.queued);
+        let threads = rayon::current_num_threads();
+        let workers = &mut ws.workers;
+        workers.resize_with(workers.len().max(threads), Default::default);
 
         let mut subround = 0u32;
         let mut idle_streak = 0usize;
-
-        loop {
+        while idle_streak < r {
             let j = (subround as usize) % r;
             subround += 1;
             let started = Instant::now();
 
-            // Phase 1: find this subtable's pure cells. In candidate
-            // mode, every cell that could have become pure since the last
-            // scan is in the pending list (see above); a broad list is
-            // still swept linearly — cheaper per cell than chasing
-            // indices and unmarking bits one by one. One task handles
-            // each cell exactly once, so the unmark and the purity read
-            // don't race within the phase. Either direction finds exactly
-            // the same pure set, so the subround trace matches
-            // [`Self::par_recover`]'s. Finds land in the lock-free slot
-            // array: one cursor `fetch_add` claims a slot (a subround
-            // scans one subtable, so `per_table` slots always suffice).
+            // In candidate mode every cell that could have become pure
+            // since the subtable's last scan is in its pending list; a
+            // broad list is still swept linearly — cheaper per cell than
+            // chasing indices and unmarking bits one by one. Subtable
+            // `j`'s queued flags are retired before or at the visit (this
+            // subround's deletions flag other subtables only); sorting
+            // makes the visit cell order whoever queued a cell first.
+            let base = j * per_table;
             let candidates = &mut pending[j];
-            let dense_sweep = dense_mode || candidates.len() * 4 > per_table;
+            let sweep = dense_mode || candidates.len() * 4 > per_table;
+            match queued {
+                Some(q) if sweep => q.clear_range(base, base + per_table),
+                Some(_) => candidates.sort_unstable(),
+                None => {}
+            }
+            let cells = if sweep { per_table } else { candidates.len() };
+            let share = cells.div_ceil(threads).max(MIN_SHARE);
+            let active = cells.div_ceil(share);
             {
-                let (slot_key, slot_dir, cursor) = (&*slot_key, &*slot_dir, &*slot_cursor);
-                let queued = &*queued;
-                let put = |cell: SwarCell| {
-                    let s = cursor.fetch_add(1, Relaxed);
-                    slot_key[s].store(cell.key, Relaxed);
-                    slot_dir[s].store(cell.count(), Relaxed);
-                };
-                if dense_sweep {
-                    let base = j * per_table;
-                    (base..base + per_table).into_par_iter().for_each(|idx| {
-                        let cell = lanes[idx].load();
-                        if cell.is_pure(&self.hasher) {
-                            put(cell);
-                        }
-                    });
-                    if !dense_mode {
-                        // The sweep visited every cell: retire the whole
-                        // subtable's queued flags at word granularity.
-                        queued.clear_range(base, base + per_table);
+                let (candidates, workers) = (&candidates[..], &workers[..]);
+                (0..active).into_par_iter().with_min_len(1).for_each(|w| {
+                    let (lo, hi) = (w * share, ((w + 1) * share).min(cells));
+                    let buf = &mut *workers[w].lock();
+                    if sweep {
+                        self.fused_pass(lanes, queued, j, base + lo..base + hi, buf);
+                    } else if let Some(q) = queued {
+                        // (Dense mode always sweeps.)
+                        let share = candidates[lo..hi].iter().copied();
+                        self.fused_pass(lanes, queued, j, share.inspect(|&idx| q.clear(idx)), buf);
                     }
-                } else {
-                    candidates.par_iter().for_each(|&idx| {
-                        queued.clear(idx);
-                        let cell = lanes[idx].load();
-                        if cell.is_pure(&self.hasher) {
-                            put(cell);
-                        }
-                    });
-                }
+                });
             }
             candidates.clear();
-            found.clear();
-            let nfound = slot_cursor.swap(0, Relaxed);
-            found.extend(
-                (0..nfound).map(|s| (slot_key[s].load(Relaxed), slot_dir[s].load(Relaxed))),
-            );
 
-            if found.is_empty() {
-                idle_streak += 1;
-                if idle_streak >= r {
-                    break;
+            // Worker buffers in share order: cell order.
+            let mut found = 0u64;
+            for buf in workers[..active].iter_mut().map(|w| w.get_mut()) {
+                found += buf.found.len() as u64;
+                for &(key, dir) in &buf.found {
+                    if dir > 0 {
+                        out.positive.push(key);
+                    } else {
+                        out.negative.push(key);
+                    }
                 }
+                for &idx in &buf.touched {
+                    pending[idx / per_table].push(idx);
+                }
+            }
+            if found == 0 {
+                idle_streak += 1;
                 continue;
             }
             idle_streak = 0;
-
-            // Phase 2: delete recovered keys (atomics resolve collisions
-            // between distinct keys). In candidate mode, cells they touch
-            // become candidates for their subtables' next scans,
-            // deduplicated by the queued bitset; dense mode sweeps
-            // everything anyway and skips the bookkeeping.
-            if dense_mode {
-                found.par_iter().for_each(|&(key, dir)| {
-                    let check48 = fold48(self.hasher.checksum(key));
-                    for h in 0..r {
-                        lanes[self.hasher.global_cell(h, key)].apply(key, check48, -dir);
-                    }
-                });
-            } else {
-                let len = found.len();
-                let (stripes, queued) = (&*touched_stripes, &*queued);
-                found.par_iter().enumerate().for_each(|(i, &(key, dir))| {
-                    let check48 = fold48(self.hasher.checksum(key));
-                    let mut guard = None;
-                    for h in 0..r {
-                        let idx = self.hasher.global_cell(h, key);
-                        lanes[idx].apply(key, check48, -dir);
-                        if !queued.test_and_set(idx) {
-                            guard
-                                .get_or_insert_with(|| {
-                                    stripes.lock(Striped::<usize>::stripe_of(i, len))
-                                })
-                                .push(idx);
-                        }
-                    }
-                });
-                touched_stripes.drain_each(|idx| pending[idx / per_table].push(idx));
-            }
-
             out.subrounds = subround;
-            out.per_subround.push(found.len() as u64);
+            out.per_subround.push(found);
             out.per_subround_ns
                 .push(started.elapsed().as_nanos() as u64);
-            for &(key, dir) in found.iter() {
-                if dir > 0 {
-                    out.positive.push(key);
-                } else {
-                    out.negative.push(key);
-                }
-            }
         }
 
         out.rounds = out.subrounds.div_ceil(r as u32);
-        out.complete = (0..total)
-            .into_par_iter()
-            .all(|idx| lanes[idx].load().is_empty());
-        out
+        out.complete = lanes.par_iter().all(|lane| lane.load().is_empty());
+        &ws.out
+    }
+
+    /// The fused subround kernel (the paper's Section 6 launch): visit
+    /// `cells` of subtable `j`; at a pure cell, zero it, record its key,
+    /// prefetch the key's cells in the other subtables and, [`DELETE_LAG`]
+    /// finds later, delete from them. In candidate mode (`queued`) a
+    /// deleted-from cell not yet flagged is flagged and recorded for its
+    /// subtable's next scan; the own cell is empty and needs none.
+    ///
+    /// Pure includes "the key hashes *to this cell*": never false for an
+    /// honest table, and against a checksum false positive or a crafted
+    /// digest it keeps what the race freedom rests on — a worker writes
+    /// no cell of subtable `j` but the one it stands on — and keeps a key
+    /// from being "deleted" from cells it was never in.
+    fn fused_pass(
+        &self,
+        lanes: &[AtomicSwarCell],
+        queued: Option<&AtomicBitset>,
+        j: usize,
+        cells: impl Iterator<Item = usize>,
+        buf: &mut WorkerBuf,
+    ) {
+        let others = |key: u64| {
+            (0..self.cfg.hashes)
+                .filter(move |&h| h != j)
+                .map(move |h| self.hasher.global_cell(h, key))
+        };
+        let WorkerBuf { found, touched } = buf;
+        found.clear();
+        touched.clear();
+        let delete = |&(key, dir): &(u64, i64), touched: &mut Vec<usize>| {
+            let check48 = fold48(self.hasher.checksum(key));
+            for idx in others(key) {
+                lanes[idx].apply(key, check48, -dir);
+                if queued.is_some_and(|q| !q.test_and_set(idx)) {
+                    touched.push(idx);
+                }
+            }
+        };
+        let mut deleted = 0;
+        for idx in cells {
+            let cell = lanes[idx].load();
+            if cell.is_pure(&self.hasher) && self.hasher.global_cell(j, cell.key) == idx {
+                lanes[idx].store(SwarCell::default());
+                others(cell.key).for_each(|o| prefetch_read(&lanes[o]));
+                found.push((cell.key, cell.count()));
+                if found.len() - deleted > DELETE_LAG {
+                    delete(&found[deleted], touched);
+                    deleted += 1;
+                }
+            }
+        }
+        found[deleted..].iter().for_each(|f| delete(f, touched));
     }
 
     /// Copy the current cell contents into a serial [`Iblt`] snapshot
@@ -1001,6 +992,121 @@ mod tests {
         assert!(got.complete);
         assert_eq!(got.positive, vec![5_000]);
         assert!(!ws.prev_dense, "sparse epoch must disarm the dense hint");
+    }
+
+    /// Plant `key`, with its genuine checksum and `count = 1`, in the
+    /// empty cell `idx` of subtable 0 — a cell `key` does not hash to.
+    fn plant_stray(t: &AtomicIblt, idx: usize, key: u64) {
+        assert_ne!(t.hasher.global_cell(0, key), idx);
+        assert!(t.read_cell(idx).is_empty());
+        t.count[idx].store(1, Relaxed);
+        t.key_sum[idx].store(key, Relaxed);
+        t.check_sum[idx].store(t.hasher.checksum(key), Relaxed);
+    }
+
+    #[test]
+    fn key_in_a_cell_it_does_not_hash_to_is_not_pure() {
+        // What a checksum false positive or a crafted digest looks like:
+        // count and checksum say "pure", the key's own hash says
+        // "not my cell". Recovery must not report the key, must not
+        // "delete" it from the cells it really hashes to, and must say
+        // the table did not decode — in candidate mode (the stray is all
+        // there is) and in dense mode (stray beside honest keys).
+        let cfg = IbltConfig::with_total_cells(4, 4_000, 71);
+        let per_table = cfg.cells_per_table;
+        let stray = 0xdead_beefu64;
+        for honest in [0u64, 1_500] {
+            let t = AtomicIblt::new(cfg);
+            let ks = keys(honest);
+            t.par_insert(&ks);
+            let idx = (0..per_table)
+                .find(|&i| t.read_cell(i).is_empty() && t.hasher.global_cell(0, stray) != i)
+                .expect("subtable 0 has an empty cell");
+            plant_stray(&t, idx, stray);
+
+            let mut ws = RecoveryWorkspace::new();
+            let got = t.par_recover_in(&mut ws);
+            assert!(!got.complete, "{honest} honest keys");
+            assert!(got.negative.is_empty());
+            let mut found = got.positive.clone();
+            found.sort_unstable();
+            let mut want = ks;
+            want.sort_unstable();
+            assert_eq!(found, want, "only the honest keys come back");
+            for (i, lane) in ws.lanes.iter().enumerate() {
+                let cell = lane.load();
+                if i == idx {
+                    assert_eq!((cell.key, cell.count()), (stray, 1), "stray cell kept");
+                } else {
+                    assert!(cell.is_empty(), "cell {i} written by a bogus deletion");
+                }
+            }
+        }
+    }
+
+    /// `par_recover_in` and `recover_subtracted_in` of `a − b`, on
+    /// pinned 1- and 4-thread pools: all four decodes must return the
+    /// very same vectors, with `par_recover`'s subround trace.
+    fn assert_deterministic_and_matching(a: &Iblt, b: &Iblt) -> ParRecovery {
+        let diff = a.subtract(b);
+        let reference = AtomicIblt::from_iblt(&diff).par_recover();
+        let mut runs = Vec::new();
+        for threads in [1usize, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let mut ws = RecoveryWorkspace::new();
+                runs.push(AtomicIblt::from_iblt(&diff).par_recover_in(&mut ws).clone());
+                let mut pooled = AtomicIblt::new(*a.config());
+                runs.push(pooled.recover_subtracted_in(a, b, &mut ws).clone());
+            });
+        }
+        for got in &runs {
+            assert_eq!(got.complete, reference.complete);
+            assert_eq!(got.subrounds, reference.subrounds);
+            assert_eq!(got.per_subround, reference.per_subround);
+            assert_eq!(got.positive, runs[0].positive, "order depends on threads");
+            assert_eq!(got.negative, runs[0].negative, "order depends on threads");
+        }
+        let sorted = |v: &[u64]| {
+            let mut v = v.to_vec();
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(sorted(&runs[0].positive), sorted(&reference.positive));
+        assert_eq!(sorted(&runs[0].negative), sorted(&reference.negative));
+        reference
+    }
+
+    #[test]
+    fn pooled_recovery_is_deterministic_across_thread_counts() {
+        // 16 384 cells a subtable: four workers get a real share each,
+        // in the sweep and (1 500 diff keys, about 1 450 candidates a
+        // subtable) in the candidate scan.
+        let cfg = IbltConfig::with_total_cells(4, 1 << 16, 72);
+        let table = |ks: &[u64]| {
+            let mut t = Iblt::new(cfg);
+            ks.iter().for_each(|&k| t.insert(k));
+            t
+        };
+        let empty = Iblt::new(cfg);
+        let total = cfg.total_cells() as f64;
+
+        // Dense, below the threshold.
+        let dense = assert_deterministic_and_matching(&table(&keys((0.7 * total) as u64)), &empty);
+        assert!(dense.complete && dense.negative.is_empty());
+
+        // Dense, above it: the 2-core stays.
+        let over = assert_deterministic_and_matching(&table(&keys((0.85 * total) as u64)), &empty);
+        assert!(!over.complete);
+
+        // A sparse signed difference: candidate mode.
+        let ks = keys(31_500);
+        let diff = assert_deterministic_and_matching(&table(&ks[..31_000]), &table(&ks[1_000..]));
+        assert!(diff.complete);
+        assert_eq!((diff.positive.len(), diff.negative.len()), (1_000, 500));
     }
 
     #[test]

@@ -1,24 +1,26 @@
 //! Reusable recovery state: decode many tables, allocate once.
 //!
-//! A subround recovery ([`crate::AtomicIblt::par_recover_in`]) needs a
-//! queued-cell bitset, per-subtable candidate lists, a scratch list of the
-//! keys found in the current subround, striped collection buffers, and the
-//! output [`ParRecovery`] vectors. A [`RecoveryWorkspace`] owns all of
-//! them; reusing one across recoveries (as `peel-service`'s reconcile
-//! pool does every epoch) makes repeated decoding allocation-free in
-//! steady state.
+//! A subround recovery ([`crate::AtomicIblt::par_recover_in`]) needs the
+//! packed decode lanes, a queued-cell bitset, per-subtable candidate
+//! lists, a private output buffer per worker of the fused kernel, and the
+//! output [`ParRecovery`] vectors. A [`RecoveryWorkspace`] owns them all;
+//! reusing one across recoveries (as `peel-service`'s reconcile pool does
+//! every epoch) makes repeated decoding allocation-free in steady state.
 
-// ordering: Relaxed throughout — the SWAR lane updates are commutative
-// RMWs (fetch_xor / fetch_add, the same shape as AtomicIblt's cell
-// updates) and every scan/delete phase boundary is a rayon fork-join
-// barrier that already orders reads against writes; lane seeding happens
-// under exclusive &mut borrow (plain get_mut stores).
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering::Relaxed};
+// ordering: Relaxed throughout — a lane sees commuting RMWs or one writer.
+// In a subround the only cell of the scanned subtable anyone writes is
+// the pure cell a worker stands on (its own plain store of zero: purity
+// includes the own-index test); every other write is a commutative RMW
+// into a subtable nobody reads before the fork-join barrier that ends the
+// subround. Seeding is under &mut. Checked by the loom model below.
+use std::sync::atomic::Ordering::Relaxed;
 
-use peel_graph::bits::{AtomicBitset, Striped};
+use parking_lot::Mutex;
+use peel_graph::bits::AtomicBitset;
 
 use crate::cell::{count_delta, SwarCell};
 use crate::parallel::ParRecovery;
+use crate::sync::AtomicU64;
 
 /// One decode cell in packed SWAR form: the two lanes of a
 /// [`SwarCell`], atomic and adjacent in memory, so a recovery touch
@@ -31,8 +33,8 @@ pub(crate) struct AtomicSwarCell {
 }
 
 impl AtomicSwarCell {
-    /// Snapshot both lanes (meaningful between phases only — callers
-    /// rely on the subround barriers for consistency).
+    /// Snapshot both lanes. Consistent only for a cell nobody else is
+    /// writing: between subrounds, or a cell of the scanned subtable.
     #[inline]
     pub(crate) fn load(&self) -> SwarCell {
         SwarCell {
@@ -42,7 +44,7 @@ impl AtomicSwarCell {
     }
 
     /// Overwrite both lanes (single-writer contexts: the seeding
-    /// sweeps, where each index has exactly one writer).
+    /// sweeps, and the fused kernel zeroing the pure cell it just read).
     #[inline]
     pub(crate) fn store(&self, c: SwarCell) {
         self.key.store(c.key, Relaxed);
@@ -63,6 +65,18 @@ impl AtomicSwarCell {
     }
 }
 
+/// What one worker of the fused subround kernel produced. On its own
+/// cache-line pair: every find bumps a vector length in here, and two
+/// workers' headers sharing a line cost the dense decode its speedup.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct WorkerBuf {
+    /// Keys (with signs) recovered from the worker's share, in cell order.
+    pub(crate) found: Vec<(u64, i64)>,
+    /// Candidate mode: other subtables' cells its deletions touched first.
+    pub(crate) touched: Vec<usize>,
+}
+
 /// Reusable buffers for [`crate::AtomicIblt::par_recover_in`].
 #[derive(Debug, Default)]
 pub struct RecoveryWorkspace {
@@ -70,16 +84,10 @@ pub struct RecoveryWorkspace {
     pub(crate) queued: AtomicBitset,
     /// Candidate cell indices per subtable.
     pub(crate) pending: Vec<Vec<usize>>,
-    /// Keys (with signs) recovered in the current subround.
-    pub(crate) found: Vec<(u64, i64)>,
-    /// Lock-free collection slots for the purity scan: a find claims the
-    /// next slot with one `fetch_add` on the cursor (a subround scans one
-    /// subtable, so `cells_per_table` slots always suffice).
-    pub(crate) slot_key: Vec<AtomicU64>,
-    pub(crate) slot_dir: Vec<AtomicI64>,
-    pub(crate) slot_cursor: AtomicUsize,
-    /// Striped buffers the deletion phase collects touched cells into.
-    pub(crate) touched_stripes: Striped<usize>,
+    /// One buffer per worker, by the worker's position in the subtable.
+    /// Each mutex is taken once a subround by its one worker: it turns a
+    /// shared borrow into exclusive buffers and is never contended.
+    pub(crate) workers: Vec<Mutex<WorkerBuf>>,
     /// The packed decode table: one [`AtomicSwarCell`] per cell of the
     /// table being recovered. The engines seed every lane on entry
     /// (candidate mode seeds during the serial occupancy walk, dense
@@ -89,12 +97,10 @@ pub struct RecoveryWorkspace {
     /// Did the previous decode in this workspace cross the dense
     /// occupancy threshold? Epoch loops decode a stable workload, so
     /// the fused reconcile path uses this to skip the candidate-seeding
-    /// bookkeeping (queued bits, pending pushes) that a dense run would
-    /// discard anyway — the *budget-factor* fix: a tightly provisioned
-    /// sketch is dense every epoch and now pays zero probe overhead.
-    /// Self-correcting: every fused decode recounts occupancy and
-    /// refreshes the flag, so a workload that turns sparse re-enables
-    /// seeding one epoch later. Survives `reset` deliberately.
+    /// bookkeeping (queued bits, pending pushes) a dense run never
+    /// reads. Self-correcting: every fused decode recounts occupancy
+    /// and refreshes the flag, so a workload that turns sparse
+    /// re-enables seeding one epoch later. Survives `reset` deliberately.
     pub(crate) prev_dense: bool,
     /// The recovery being (or last) built; vectors are reused run-to-run.
     pub(crate) out: ParRecovery,
@@ -123,14 +129,58 @@ impl RecoveryWorkspace {
         for p in self.pending.iter_mut() {
             p.clear();
         }
-        self.found.clear();
-        self.slot_key.resize_with(per_table, || AtomicU64::new(0));
-        self.slot_dir.resize_with(per_table, || AtomicI64::new(0));
         self.lanes.resize_with(r * per_table, Default::default);
-        *self.slot_cursor.get_mut() = 0;
-        // A panic mid-recovery could strand stripe residue; drain
-        // defensively (no-op in the common case).
-        self.touched_stripes.drain_each(|_| {});
         self.out.clear();
+    }
+}
+
+#[cfg(all(test, loom))]
+mod loom_model {
+    use super::*;
+    use crate::cell::fold48;
+    use loom::sync::Arc;
+
+    /// Two workers of one fused subround: each zeroes the pure cell it
+    /// owns in the scanned subtable with a plain store, and both delete
+    /// their key from the *same* cell of another subtable. Under every
+    /// schedule the lanes must end where the serial order leaves them:
+    /// the own cells empty, the shared cell holding only the bystander.
+    #[test]
+    fn fused_workers_zero_own_cells_and_commute_on_a_shared_one() {
+        loom::model(|| {
+            let (k1, k2, bystander) = (0x1111u64, 0x2222u64, 0x4444u64);
+            let check = |k: u64| fold48(k.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let cell_of = |keys: &[u64]| {
+                let mut c = SwarCell::default();
+                for &k in keys {
+                    c.apply(k, check(k), 1);
+                }
+                c
+            };
+            // Cells 0 and 1: subtable j, one pure cell per worker.
+            // Cell 2: a cell of another subtable all three keys hash to.
+            let lanes: Arc<Vec<AtomicSwarCell>> =
+                Arc::new((0..3).map(|_| AtomicSwarCell::default()).collect());
+            lanes[0].store(cell_of(&[k1]));
+            lanes[1].store(cell_of(&[k2]));
+            lanes[2].store(cell_of(&[k1, k2, bystander]));
+
+            let worker = |lanes: &[AtomicSwarCell], own: usize| {
+                let cell = lanes[own].load();
+                assert_eq!(cell.count(), 1, "nobody else writes the own cell");
+                lanes[own].store(SwarCell::default());
+                lanes[2].apply(cell.key, cell.check48(), -cell.count());
+            };
+            let th = {
+                let lanes = Arc::clone(&lanes);
+                loom::thread::spawn(move || worker(&lanes, 1))
+            };
+            worker(&lanes, 0);
+            th.join().unwrap();
+
+            assert!(lanes[0].load().is_empty());
+            assert!(lanes[1].load().is_empty());
+            assert_eq!(lanes[2].load(), cell_of(&[bystander]));
+        });
     }
 }

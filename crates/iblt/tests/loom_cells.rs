@@ -10,6 +10,11 @@
 //! reads, which is exactly what the CUDA atomic-XOR kernels the code
 //! mirrors must survive.
 //!
+//! The pooled recovery's fused subround kernel has its own model next
+//! to the crate-private decode lanes it runs over
+//! (`src/workspace.rs`, `cargo test -p peel-iblt --lib loom_model`
+//! under the same `RUSTFLAGS`).
+//!
 //! Models use the serial per-key `insert`/`delete` entry points, not the
 //! rayon `par_*` wrappers: rayon pool threads are outside the model
 //! scheduler. The wrappers add only work splitting, no new cell ops.

@@ -119,27 +119,38 @@ proptest! {
     }
 
     /// Parallel (dense and frontier) and serial recovery return identical
-    /// key sets on any in-contract content.
+    /// key sets on any in-contract content — alone in a small table
+    /// (candidate mode), and on top of a fixed ballast in a table whose
+    /// subtables are wide enough to split (dense mode). The parallel side
+    /// runs in a 4-thread pool, so the scoped-thread path of the fused
+    /// kernel is exercised on a single-core machine too.
     #[test]
     fn parallel_matches_serial(content in arb_content(80, 20)) {
-        let cfg = IbltConfig::new(3, 250, 11);
-        let serial_table = load(&Iblt::new(cfg), &content);
-        let s = serial_table.recover();
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let mut ballast = Iblt::new(IbltConfig::new(3, 4_096, 11));
+        (10_000..15_000u64).for_each(|k| ballast.insert(k));
+        for base in [Iblt::new(IbltConfig::new(3, 250, 11)), ballast] {
+            let serial_table = load(&base, &content);
+            let s = serial_table.recover();
 
-        let dense = AtomicIblt::from_serial(&serial_table).par_recover();
-        let frontier = AtomicIblt::from_serial(&serial_table).par_recover_frontier();
-        for par in [dense, frontier] {
-            prop_assert_eq!(s.complete, par.complete);
-            let mut sp = s.positive.clone();
-            sp.sort_unstable();
-            let mut pp = par.positive.clone();
-            pp.sort_unstable();
-            prop_assert_eq!(sp, pp);
-            let mut sn = s.negative.clone();
-            sn.sort_unstable();
-            let mut pn = par.negative.clone();
-            pn.sort_unstable();
-            prop_assert_eq!(sn, pn);
+            let (dense, frontier) = pool.install(|| (
+                AtomicIblt::from_serial(&serial_table).par_recover(),
+                AtomicIblt::from_serial(&serial_table).par_recover_frontier(),
+            ));
+            prop_assert_eq!(&dense.per_subround, &frontier.per_subround);
+            for par in [dense, frontier] {
+                prop_assert_eq!(s.complete, par.complete);
+                let mut sp = s.positive.clone();
+                sp.sort_unstable();
+                let mut pp = par.positive.clone();
+                pp.sort_unstable();
+                prop_assert_eq!(sp, pp);
+                let mut sn = s.negative.clone();
+                sn.sort_unstable();
+                let mut pn = par.negative.clone();
+                pn.sort_unstable();
+                prop_assert_eq!(sn, pn);
+            }
         }
     }
 

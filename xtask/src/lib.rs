@@ -43,6 +43,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+pub mod bench_smoke;
 pub mod conn_smoke;
 pub mod mesh_smoke;
 

@@ -15,6 +15,11 @@
 //!   in-order pipelined responses, an honest live-connection gauge,
 //!   and a clean process exit on `Shutdown` with the herd attached.
 //!   The server log lands in `target/conn-smoke/`, kept on failure.
+//! * `cargo xtask bench-smoke` — build the standalone `benchmark/`
+//!   package offline and run four of its workloads for 2 s each,
+//!   untraced and traced, failing on a non-zero exit or an incorrect
+//!   result: catches API drift against the benchmark package, which
+//!   the root workspace's build and tests never compile.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -56,6 +61,13 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
+        Some("bench-smoke") => match xtask::bench_smoke::run(&root) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("{e}");
+                ExitCode::FAILURE
+            }
+        },
         Some("conn-smoke") => {
             let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
             let status = std::process::Command::new(&cargo)
@@ -100,7 +112,7 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!(
-                "usage: cargo xtask lint [--orderings | --write-orderings] | mesh-smoke | conn-smoke"
+                "usage: cargo xtask lint [--orderings | --write-orderings] | mesh-smoke | conn-smoke | bench-smoke"
             );
             ExitCode::FAILURE
         }
