@@ -13,16 +13,15 @@
 //!
 //! Every binary accepts `--full` to switch from laptop-scale defaults to
 //! the paper's exact parameters, plus individual overrides (`--trials`,
-//! `--n`, `--cells`, …); run with `--help` for the list. Criterion benches
-//! (`engines_bench`, `iblt_bench`, `scaling_bench`) cover timing
-//! comparisons and the ablations listed in DESIGN.md.
+//! `--n`, `--cells`, …); run with `--help` for the list. Timing of record
+//! lives in the standalone `benchmark/` package, not here.
 
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
 
-/// Minimal `--key value` / `--flag` argument parser (std-only by design —
-/// see DESIGN.md's dependency policy).
+/// Minimal `--key value` / `--flag` argument parser (std-only: the
+/// workspace builds offline against vendored shims, and has no CLI crate).
 #[derive(Debug, Clone)]
 pub struct Args {
     values: HashMap<String, String>,

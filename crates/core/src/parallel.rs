@@ -109,27 +109,24 @@ pub enum Strategy {
 /// division-free integer test in [`adaptive_picks_dense`]. Larger α holds
 /// the dense direction longer.
 ///
-/// Re-fit against the CSR/striped-counter engine with `alpha_sweep`
-/// (α ∈ {2..48} × `Gnm(n, c, 4)` for n ∈ {10⁵, 4×10⁵}, c ∈ {0.70, 0.85},
-/// warm-up + interleaved best-of-block): the CSR rewrite cheapened *both*
-/// directions, but the frontier walk gained more — sequential adjacency
-/// runs replaced its per-edge pointer chasing, while the dense scan still
-/// pays the full `m`-edge sweep plus the striped-counter merge every
-/// round — so the crossover moved *down*, from the old fit's 8 to ≈ 4:
-/// α = 4 tracks within 2% of the best measured α at every benched (n, c)
-/// and beats pure Frontier at all of them, where the α = 8 fit (from the
-/// pre-CSR box) held the dense direction rounds too long and lost to
-/// serial at n = 4×10⁵, c = 0.70 — the `adaptive 379 ns/edge vs serial
-/// 324` regression in BENCH_service.json. Re-run `alpha_sweep` after any
-/// change to the kill phases' per-edge costs; override per workspace
-/// through [`PeelWorkspace::adaptive_alpha`].
+/// Fitted against the CSR/striped-counter engine by sweeping α ∈ {2..48}
+/// over `Gnm(n, c, 4)` for n ∈ {10⁵, 4×10⁵}, c ∈ {0.70, 0.85}: the CSR
+/// rewrite cheapened *both* directions, but the frontier walk gained
+/// more — sequential adjacency runs replaced its per-edge pointer
+/// chasing, while the dense scan still pays the full `m`-edge sweep plus
+/// the striped-counter merge every round — so the crossover moved
+/// *down*, from the old fit's 8 to ≈ 4. The α = 8 fit held the dense
+/// direction too long and lost to serial at n = 4×10⁵, c = 0.70. After
+/// any change to the kill phases' per-edge costs, re-check the fit
+/// against the `core.adaptive_*` and `core.frontier_*` rows of the
+/// traced `peel-below` / `peel-above` benchmark runs.
 pub const ADAPTIVE_DENSE_ALPHA: u64 = 4;
 
 /// The per-round direction decision of [`Strategy::Adaptive`]:
 /// `true` = dense edge scan, `false` = frontier propagation. Exposed so
 /// tests and benches can audit which direction a recorded round took.
-/// `alpha` is the switch coefficient (a [`PeelWorkspace::adaptive_alpha`],
-/// typically [`ADAPTIVE_DENSE_ALPHA`]).
+/// `alpha` is the switch coefficient; the engine uses
+/// [`ADAPTIVE_DENSE_ALPHA`].
 #[inline]
 pub fn adaptive_picks_dense(
     frontier_len: u64,
@@ -197,7 +194,6 @@ pub fn peel_parallel_in(
     ws.reset_for(g);
     let n = g.num_vertices();
     let m = g.num_edges();
-    let alpha = ws.adaptive_alpha;
     let PeelWorkspace {
         deg,
         peel_round,
@@ -246,7 +242,7 @@ pub fn peel_parallel_in(
                 m as u64,
                 g.arity() as u64,
                 live_edges,
-                alpha,
+                ADAPTIVE_DENSE_ALPHA,
             ),
         };
         // Pure Dense rediscovers each frontier by vertex scan (that full

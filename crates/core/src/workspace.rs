@@ -23,7 +23,6 @@ use peel_graph::bits::{AtomicBitset, Striped, StripedCounters};
 use peel_graph::Hypergraph;
 use rayon::prelude::*;
 
-use crate::parallel::ADAPTIVE_DENSE_ALPHA;
 use crate::trace::{PeelOutcome, RoundStats, UNPEELED};
 
 /// Summary of one peel run executed in a [`PeelWorkspace`].
@@ -84,12 +83,6 @@ pub struct PeelWorkspace {
     pub(crate) dec: StripedCounters,
     /// Per-round statistics of the current/last run.
     pub(crate) trace: Vec<RoundStats>,
-    /// The α coefficient of [`crate::parallel::adaptive_picks_dense`]'s
-    /// switch rule for this workspace's runs. Defaults to
-    /// [`ADAPTIVE_DENSE_ALPHA`]; tune it per deployment when the
-    /// dense-scan/propagation cost ratio of the hardware differs from the
-    /// fit (larger α holds the dense direction longer).
-    pub adaptive_alpha: u64,
 }
 
 impl Default for PeelWorkspace {
@@ -106,7 +99,6 @@ impl Default for PeelWorkspace {
             stripes: Striped::new(),
             dec: StripedCounters::new(),
             trace: Vec::new(),
-            adaptive_alpha: ADAPTIVE_DENSE_ALPHA,
         }
     }
 }

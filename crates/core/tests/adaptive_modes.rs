@@ -41,8 +41,8 @@ fn mode_string(g: &Hypergraph, out: &PeelOutcome, alpha: u64) -> String {
 fn pinned_mode_sequences_at_default_alpha() {
     // Each case pins the full decision string for one fixed-seed graph at
     // the shipped α. If a legitimate α re-fit changes these, re-pin them
-    // from the test's own failure output — but only after `alpha_sweep`
-    // confirms the new fit wins on the benched regimes.
+    // from the test's own failure output — but only after the traced
+    // `peel-below` / `peel-above` benchmark runs confirm the new fit wins.
     // (label, graph, k, peels-to-empty?, pinned decision string). The
     // c = 0.85 case sits above c*_{2,4} ≈ 0.772: the 2-core survives, and
     // the decision string covers the truncated cascade to fixpoint.

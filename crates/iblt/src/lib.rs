@@ -86,7 +86,6 @@ pub mod cell;
 pub mod config;
 pub mod hashing;
 pub mod kv;
-pub mod locked;
 pub mod parallel;
 pub mod reconcile;
 pub mod serial;

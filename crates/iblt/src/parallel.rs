@@ -785,9 +785,10 @@ mod tests {
 
     #[test]
     fn snapshot_then_recover_matches_locked_and_serial() {
-        use crate::locked::LockedIblt;
-        // Same key set through three paths: atomic + snapshot, locked,
-        // and a plain serial table. All recoveries must agree exactly.
+        // Same key set through two paths: atomic + snapshot, and a plain
+        // serial table (the reference). Both recoveries must agree
+        // exactly. (The name predates the removal of the lock-striped
+        // leg; it is kept so the test's identity stays stable.)
         let cfg = IbltConfig::for_load(3, 3_000, 0.65, 31);
         let ks = keys(3_000);
 
@@ -795,21 +796,16 @@ mod tests {
         atomic.par_insert(&ks);
         let mut from_snapshot = atomic.snapshot().recover_destructive();
 
-        let locked = LockedIblt::new(cfg);
-        locked.par_insert(&ks);
-        let mut from_locked = locked.to_serial().recover_destructive();
-
         let mut serial = Iblt::new(cfg);
         for &k in &ks {
             serial.insert(k);
         }
         let mut from_serial = serial.recover_destructive();
 
-        for rec in [&mut from_snapshot, &mut from_locked, &mut from_serial] {
+        for rec in [&mut from_snapshot, &mut from_serial] {
             rec.positive.sort_unstable();
         }
-        assert!(from_snapshot.complete && from_locked.complete && from_serial.complete);
-        assert_eq!(from_snapshot.positive, from_locked.positive);
+        assert!(from_snapshot.complete && from_serial.complete);
         assert_eq!(from_snapshot.positive, from_serial.positive);
         assert!(from_snapshot.negative.is_empty());
     }

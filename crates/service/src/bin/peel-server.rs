@@ -2,12 +2,11 @@
 //!
 //! ```sh
 //! # Primary (reactor server: all connections on one readiness loop;
-//! # --max-conns caps live sockets, --idle-timeout-ms reaps idle ones,
-//! # --blocking swaps in the original thread-per-connection server):
+//! # --max-conns caps live sockets, --idle-timeout-ms reaps idle ones):
 //! peel-server [--addr 127.0.0.1:7744] [--shards 4] [--diff-budget 2048]
 //!             [--batch-size 1024] [--queue-depth 64] [--workers N]
 //!             [--repl-queue-depth 256] [--max-conns 4096]
-//!             [--idle-timeout-ms 60000] [--blocking]
+//!             [--idle-timeout-ms 60000]
 //!
 //! # Follower (adopts the primary's sharding from its Hello handshake,
 //! # streams its sealed batches, and repairs divergence by anti-entropy):
@@ -36,46 +35,8 @@ use std::time::Duration;
 use peel_service::client::Client;
 use peel_service::follower::{Follower, FollowerConfig};
 use peel_service::reactor::ReactorConfig;
-use peel_service::server::{BlockingServer, Server};
+use peel_service::server::Server;
 use peel_service::service::{PeelService, ServiceConfig};
-
-/// The two server implementations behind one set of CLI knobs: the
-/// reactor (default) and the original thread-per-connection server
-/// (`--blocking`, kept for A/B benchmarking).
-enum AnyServer {
-    Reactor(Server),
-    Blocking(BlockingServer),
-}
-
-impl AnyServer {
-    fn local_addr(&self) -> SocketAddr {
-        match self {
-            AnyServer::Reactor(s) => s.local_addr(),
-            AnyServer::Blocking(s) => s.local_addr(),
-        }
-    }
-
-    fn service(&self) -> &PeelService {
-        match self {
-            AnyServer::Reactor(s) => s.service(),
-            AnyServer::Blocking(s) => s.service(),
-        }
-    }
-
-    fn wait(&self) {
-        match self {
-            AnyServer::Reactor(s) => s.wait(),
-            AnyServer::Blocking(s) => s.wait(),
-        }
-    }
-
-    fn shutdown(&mut self) {
-        match self {
-            AnyServer::Reactor(s) => s.shutdown(),
-            AnyServer::Blocking(s) => s.shutdown(),
-        }
-    }
-}
 
 /// Capacity of the in-process flight recorder (recent structured trace
 /// events, dumped by `DebugDump` frames and the panic hook).
@@ -123,15 +84,14 @@ fn main() {
             "peel-server [--addr 127.0.0.1:7744] [--shards 4] [--diff-budget 2048]\n\
              \x20           [--batch-size 1024] [--queue-depth 64] [--workers N]\n\
              \x20           [--repl-queue-depth 256] [--repl-window 32]\n\
-             \x20           [--max-conns 4096] [--idle-timeout-ms 60000] [--blocking]\n\
+             \x20           [--max-conns 4096] [--idle-timeout-ms 60000]\n\
              \x20           [--metrics-addr ADDR]\n\
              \x20           [--follow PRIMARY_ADDR] [--anti-entropy-ms 200]\n\
              \x20           [--node-id N] [--mesh A1,A2,..] [--advertise ADDR]\n\
              Sharded IBLT set-reconciliation server; stops on a Shutdown request.\n\
              Connections are served by a single-threaded readiness loop capped at\n\
              --max-conns live sockets; idle ones are reaped after --idle-timeout-ms\n\
-             (0 disables). --blocking selects the original thread-per-connection\n\
-             server instead (no cap, no reaper; kept for A/B comparison).\n\
+             (0 disables).\n\
              With --follow it runs as a replication follower of PRIMARY_ADDR,\n\
              adopting the primary's sharding and healing divergence by\n\
              anti-entropy; --mesh additionally lists the other replicas so a\n\
@@ -193,7 +153,6 @@ fn main() {
     cfg.repl_window = parse(&args, "--repl-window", cfg.repl_window);
     cfg.node_id = parse(&args, "--node-id", cfg.node_id);
 
-    let blocking = args.iter().any(|a| a == "--blocking");
     let idle_ms: u64 = parse(&args, "--idle-timeout-ms", 60_000);
     let rcfg = ReactorConfig {
         max_connections: parse(
@@ -206,12 +165,7 @@ fn main() {
     };
 
     let service = Arc::new(PeelService::start(cfg));
-    let bound = if blocking {
-        BlockingServer::bind_with(addr.as_str(), Arc::clone(&service)).map(AnyServer::Blocking)
-    } else {
-        Server::bind_with_cfg(addr.as_str(), Arc::clone(&service), rcfg.clone())
-            .map(AnyServer::Reactor)
-    };
+    let bound = Server::bind_with_cfg(addr.as_str(), Arc::clone(&service), rcfg.clone());
     let mut server = match bound {
         Ok(s) => s,
         Err(e) => {
@@ -220,18 +174,15 @@ fn main() {
         }
     };
     println!(
-        "peel-server listening on {} ({} shards × {} cells, batch {}, queue {}, {} workers{}{})",
+        "peel-server listening on {} ({} shards × {} cells, batch {}, queue {}, {} workers, \
+         reactor capped at {} conns{})",
         server.local_addr(),
         cfg.shards,
         cfg.shard_iblt.total_cells(),
         cfg.batch_size,
         cfg.queue_depth,
         cfg.workers,
-        if blocking {
-            ", thread-per-connection".to_string()
-        } else {
-            format!(", reactor capped at {} conns", rcfg.max_connections)
-        },
+        rcfg.max_connections,
         match &follow {
             Some(p) => format!(", following {p}"),
             None => String::new(),

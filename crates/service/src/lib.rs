@@ -22,7 +22,8 @@
 //! * **Wire protocol** ([`wire`]): length-prefixed binary frames over
 //!   `std::net` TCP — `Hello`/`Insert`/`Delete`/`Flush`/`Digest`/
 //!   `Reconcile`/`Stats`/`Shutdown` — with total, panic-free decoding.
-//! * **Server & client** ([`server`], [`client`]): a blocking TCP server
+//! * **Server & client** ([`server`], [`reactor`], [`client`]): a TCP
+//!   server that serves every connection from one readiness loop
 //!   (`peel-server` binary) and a typed client whose
 //!   [`client::Client::reconcile`] runs the whole per-shard protocol.
 //! * **Replication** ([`replication`], [`follower`], [`transport`]):
@@ -125,13 +126,10 @@ pub use metrics::{
 pub use reactor::ReactorConfig;
 pub use recorder::{FlightRecord, FlightRecorder};
 pub use replication::{
-    apply_replication_stream, stream_to_follower, ReplicationHub, StreamConfig, StreamEnd,
-    StreamItem, Subscription,
+    apply_replication_stream, ReplicationHub, StreamConfig, StreamItem, Subscription,
 };
 pub use router::{build_shard_digests, shard_iblt_config, GenerationRouter, ShardRouter};
-pub use server::{handle_request, BlockingServer, Server};
+pub use server::{handle_request, Server};
 pub use service::{PeelService, ServiceConfig, ServiceError, MAX_RESHARD_SHARDS};
-pub use transport::{
-    sim_duplex, FaultPlan, FramedTcp, RecvOutcome, SimDuplex, SimTransport, Transport,
-};
+pub use transport::{FaultPlan, FramedTcp, SimTransport, Transport};
 pub use wire::{HelloInfo, ReplicaStatus, Request, Response, ShardDiff, WireError};

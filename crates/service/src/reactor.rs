@@ -116,9 +116,7 @@ impl Default for ReactorConfig {
 
 /// Exponential backoff for persistent `accept` failures (`EMFILE`,
 /// `ENFILE`, and anything else that isn't a transient per-connection
-/// error). Shared by the reactor (which deregisters the listener for
-/// the backoff window) and the blocking server (which sleeps it off in
-/// stop-aware slices).
+/// error). The reactor deregisters the listener for the backoff window.
 pub(crate) struct AcceptPacer {
     base: Duration,
     max: Duration,
@@ -567,8 +565,10 @@ impl Reactor {
                 self.subscribe_conn(t, last_seq, now);
                 continue;
             }
-            // Same per-request observability as the blocking handler:
-            // a span around dispatch, latency into the class histogram.
+            // Per-request observability: a span carrying the frame type
+            // (and shard, when the frame names one) around dispatch, and
+            // the latency into the class histogram. The span is free when
+            // no subscriber is installed; the histogram records always.
             let class = req.class_index();
             let span = match req.shard_hint() {
                 Some(shard) => tracing::span(

@@ -10,14 +10,14 @@
 //! queued item (counted, and healed later by anti-entropy), so a slow
 //! or dead follower can never apply backpressure to primary ingest.
 //!
-//! On a subscribed connection the primary runs [`stream_to_follower`]:
-//! keep up to [`StreamConfig::window`] unacknowledged `Replicate` frames
-//! in flight, reading cumulative `ReplicateAck`s (each carries the
-//! follower's highest applied sequence number, which retires every
-//! in-flight frame at or below it and feeds the per-follower lag gauge).
-//! An ack that fails to arrive within [`StreamConfig::ack_timeout`]
-//! triggers a retransmit of the whole window, up to
-//! [`StreamConfig::max_retries`] times. The follower runs
+//! On a subscribed connection the primary's reactor hosts a
+//! [`WindowedSender`]: it keeps up to [`StreamConfig::window`]
+//! unacknowledged `Replicate` frames in flight, reading cumulative
+//! `ReplicateAck`s (each carries the follower's highest applied sequence
+//! number, which retires every in-flight frame at or below it and feeds
+//! the per-follower lag gauge). An ack that fails to arrive within
+//! [`StreamConfig::ack_timeout`] triggers a retransmit of the whole
+//! window, up to [`StreamConfig::max_retries`] times. The follower runs
 //! [`apply_replication_stream`]: decode, deduplicate by sequence number,
 //! apply through its own ingest pipeline, ack.
 //!
@@ -28,7 +28,7 @@
 //! `Replicate` frame carries the sender's epoch and every ack carries
 //! the receiver's: a follower at a higher epoch refuses the frame and
 //! acks its own epoch back, and a sender that sees a higher epoch in an
-//! ack stops streaming ([`StreamEnd::Fenced`]). Bumping the epoch also
+//! ack stops streaming ([`SenderFrame::Fenced`]). Bumping the epoch also
 //! closes every subscription born under an older epoch, so a whole
 //! follower chain parts from a stale primary at once.
 //!
@@ -38,9 +38,11 @@
 //! overflow, follower crash, torn frames) is repaired by the follower's
 //! periodic anti-entropy loop ([`crate::follower`]), which digests each
 //! local shard against the primary via the existing `Reconcile`
-//! machinery and applies the decoded symmetric difference. Both loops
-//! are written against [`Transport`](crate::transport::Transport) so the
-//! fault-injection tests can drive them over an in-memory double.
+//! machinery and applies the decoded symmetric difference. The applier
+//! is written against [`Transport`](crate::transport::Transport), so the
+//! fault-injection tests drive it over an in-memory double; the sender
+//! does no IO at all, so tests drive it with plain byte slices and
+//! explicit `Instant`s.
 
 use std::collections::VecDeque;
 // ordering: all hub atomics are Relaxed. Sequence assignment (published),
@@ -59,7 +61,7 @@ use crate::lock::{plock, pwait};
 use crate::metrics::{AtomicHistogram, FollowerStats, ReplicationStats};
 use crate::queue::Batch;
 use crate::service::PeelService;
-use crate::transport::{RecvOutcome, Transport};
+use crate::transport::Transport;
 use crate::wire::{
     decode_request, decode_response, encode_replicate, encode_request, encode_response, Request,
     Response, WireError,
@@ -460,8 +462,7 @@ impl Drop for Subscription {
     }
 }
 
-/// Tunables for the primary-side windowed sender
-/// ([`stream_to_follower`]).
+/// Tunables for the primary-side windowed sender ([`WindowedSender`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Maximum unacknowledged `Replicate` frames in flight. 1 restores
@@ -472,7 +473,7 @@ pub struct StreamConfig {
     /// How long to wait for an ack before retransmitting the window.
     pub ack_timeout: Duration,
     /// Consecutive ack timeouts tolerated before the follower is
-    /// declared dead and the sender returns.
+    /// declared dead and dropped.
     pub max_retries: u32,
 }
 
@@ -482,118 +483,6 @@ impl Default for StreamConfig {
             window: 32,
             ack_timeout: Duration::from_secs(1),
             max_retries: 5,
-        }
-    }
-}
-
-/// Why [`stream_to_follower`] returned without a transport error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamEnd {
-    /// The hub closed, the follower disconnected or misbehaved, or the
-    /// retransmit budget ran out.
-    Closed,
-    /// An ack carried an epoch above ours: this primary has been
-    /// deposed by a failover election. The caller should adopt the
-    /// fence (stop leading) rather than reconnect.
-    Fenced(u64),
-}
-
-/// Primary-side sender: stream a subscription's items to one follower,
-/// keeping up to [`StreamConfig::window`] unacknowledged `Replicate`
-/// frames in flight. Acks are cumulative — one `ReplicateAck` retires
-/// every in-flight frame at or below its sequence number — and a
-/// missing ack retransmits the window after
-/// [`StreamConfig::ack_timeout`], up to [`StreamConfig::max_retries`]
-/// consecutive times. Batches at or below `resume_after` are skipped —
-/// the follower already has them. Generation-change notices are
-/// forwarded immediately and never retransmitted (adoption via
-/// anti-entropy is the backstop). Returns [`StreamEnd::Fenced`] when an
-/// ack reveals a higher epoch (this primary has been deposed).
-pub fn stream_to_follower<T: Transport>(
-    transport: &mut T,
-    sub: &Subscription,
-    resume_after: u64,
-    cfg: &StreamConfig,
-) -> Result<StreamEnd, WireError> {
-    let span = tracing::span(
-        "replication_stream",
-        &[
-            ("follower", sub.id().into()),
-            ("resume_after", resume_after.into()),
-            ("window", (cfg.window as u64).into()),
-        ],
-    );
-    let _entered = span.enter();
-    let window = cfg.window.max(1);
-    let mut inflight: VecDeque<(u64, Vec<u8>)> = VecDeque::new();
-    let mut retries = 0u32;
-    loop {
-        // Fill the window: block for the next item only when nothing is
-        // in flight (an empty window with an empty queue means there is
-        // nothing to wait for but the hub), otherwise take whatever is
-        // already queued and fall through to the ack wait.
-        while inflight.len() < window {
-            let item = if inflight.is_empty() {
-                match sub.recv() {
-                    Some(x) => x,
-                    None => return Ok(StreamEnd::Closed),
-                }
-            } else {
-                match sub.try_recv() {
-                    Some(x) => x,
-                    None => break,
-                }
-            };
-            match item {
-                StreamItem::Batch(seq, ops) => {
-                    if seq <= resume_after {
-                        continue;
-                    }
-                    let frame = encode_replicate(sub.hub_epoch(), seq, &ops);
-                    transport.send(&frame)?;
-                    sub.hub.streamed.fetch_add(1, Relaxed);
-                    inflight.push_back((seq, frame));
-                }
-                StreamItem::Generation { generation, shards } => {
-                    transport.send(&encode_response(&Response::GenerationChange {
-                        epoch: sub.hub_epoch(),
-                        generation,
-                        shards,
-                    }))?;
-                }
-            }
-        }
-        if inflight.is_empty() {
-            continue;
-        }
-        match transport.recv_timeout(cfg.ack_timeout)? {
-            RecvOutcome::Frame(payload) => match decode_request(&payload) {
-                Ok(Request::ReplicateAck { epoch, seq }) => {
-                    if epoch > sub.hub_epoch() {
-                        return Ok(StreamEnd::Fenced(epoch));
-                    }
-                    sub.ack(seq);
-                    while inflight.front().is_some_and(|&(s, _)| s <= seq) {
-                        inflight.pop_front();
-                    }
-                    retries = 0;
-                }
-                // Anything else on a subscribed connection is a protocol
-                // violation; drop the follower (it will reconnect).
-                _ => return Ok(StreamEnd::Closed),
-            },
-            RecvOutcome::Closed => return Ok(StreamEnd::Closed),
-            RecvOutcome::TimedOut => {
-                retries += 1;
-                if retries > cfg.max_retries {
-                    return Ok(StreamEnd::Closed);
-                }
-                // Retransmit the whole window in order; the follower's
-                // sequence dedup makes duplicates harmless.
-                for (_, frame) in &inflight {
-                    transport.send(frame)?;
-                }
-            }
         }
     }
 }
@@ -611,11 +500,11 @@ pub enum SenderFrame {
     Protocol,
 }
 
-/// The primary-side windowed sender as a poll-driven state machine — the
-/// exact semantics of [`stream_to_follower`] (cumulative acks, window
-/// retransmit on ack timeout, epoch fencing, generation pass-through)
-/// with the blocking waits factored out, so a single-threaded readiness
-/// loop can host one per subscribed connection:
+/// The primary-side windowed sender as a poll-driven state machine
+/// (cumulative acks, window retransmit on ack timeout, epoch fencing,
+/// generation pass-through) with no IO and no clock of its own, so a
+/// single-threaded readiness loop can host one per subscribed
+/// connection:
 ///
 /// - [`WindowedSender::pump`] drains whatever the subscription has
 ///   queued (never blocks) and emits encoded frames;
@@ -1011,5 +900,126 @@ mod tests {
             }
             other => panic!("expected a generation notice, got {other:?}"),
         }
+    }
+
+    // --- WindowedSender: explicit instants, no sleeps --------------------
+
+    /// A sender (1 s ack timeout, 2 retries) over a fresh subscription
+    /// with batches `1..=published` already queued.
+    fn sender_with(window: usize, published: u64) -> (ReplicationHub, WindowedSender) {
+        let hub = ReplicationHub::new(64);
+        let cfg = StreamConfig {
+            window,
+            ack_timeout: Duration::from_secs(1),
+            max_retries: 2,
+        };
+        let sender = WindowedSender::new(hub.subscribe(), 0, cfg);
+        for i in 0..published {
+            hub.publish(&batch(i, 1));
+        }
+        (hub, sender)
+    }
+
+    fn replicate_seq(frame: &[u8]) -> u64 {
+        match decode_response(frame) {
+            Ok(Response::Replicate { seq, .. }) => seq,
+            other => panic!("expected a Replicate frame, got {other:?}"),
+        }
+    }
+
+    fn ack(epoch: u64, seq: u64) -> Vec<u8> {
+        encode_request(&Request::ReplicateAck { epoch, seq })
+    }
+
+    /// Pump once: the liveness verdict and the emitted frames.
+    fn pump(sender: &mut WindowedSender, now: Instant) -> (bool, Vec<Vec<u8>>) {
+        let mut frames = Vec::new();
+        let live = sender.pump(now, &mut |f| frames.push(f.to_vec()));
+        (live, frames)
+    }
+
+    fn seqs(frames: &[Vec<u8>]) -> Vec<u64> {
+        frames.iter().map(|f| replicate_seq(f)).collect()
+    }
+
+    #[test]
+    fn pump_emits_at_most_window_frames() {
+        let (_hub, mut s) = sender_with(3, 5);
+        let t0 = Instant::now();
+        let (live, frames) = pump(&mut s, t0);
+        assert!(live);
+        assert_eq!(seqs(&frames), vec![1, 2, 3]);
+        // The window is full: nothing more until an ack retires a frame.
+        assert!(pump(&mut s, t0).1.is_empty());
+    }
+
+    #[test]
+    fn cumulative_ack_retires_every_frame_at_or_below_its_seq() {
+        let (_hub, mut s) = sender_with(3, 5);
+        let t0 = Instant::now();
+        pump(&mut s, t0);
+        assert_eq!(s.on_frame(&ack(0, 2), t0), SenderFrame::Continue);
+        assert_eq!(s.subscription().acked(), 2);
+        // 1 and 2 retired, 3 still in flight: two slots opened.
+        assert_eq!(seqs(&pump(&mut s, t0).1), vec![4, 5]);
+        assert_eq!(s.on_frame(&ack(0, 5), t0), SenderFrame::Continue);
+        assert_eq!(s.deadline(), None, "nothing left in flight");
+    }
+
+    #[test]
+    fn deadline_retransmits_the_window_in_order_until_retries_run_out() {
+        let (_hub, mut s) = sender_with(2, 3);
+        let t0 = Instant::now();
+        let timeout = Duration::from_secs(1);
+        let (_, sent) = pump(&mut s, t0);
+        assert_eq!(seqs(&sent), vec![1, 2]);
+        assert_eq!(s.deadline(), Some(t0 + timeout));
+        let mut fire = |at: Instant| {
+            let mut frames = Vec::new();
+            let live = s.on_deadline(at, &mut |f| frames.push(f.to_vec()));
+            (live, frames)
+        };
+        // Not yet due: no-op.
+        assert_eq!(fire(t0 + timeout / 2), (true, Vec::new()));
+        // Each expiry re-emits the whole window, byte for byte, in order.
+        assert_eq!(fire(t0 + timeout), (true, sent.clone()));
+        assert_eq!(fire(t0 + 2 * timeout), (true, sent));
+        // The third consecutive expiry exceeds max_retries = 2.
+        assert!(!fire(t0 + 3 * timeout).0);
+    }
+
+    #[test]
+    fn higher_epoch_ack_fences_and_a_non_ack_is_a_protocol_error() {
+        let (_hub, mut s) = sender_with(4, 1);
+        let t0 = Instant::now();
+        pump(&mut s, t0);
+        assert_eq!(s.on_frame(&ack(5, 1), t0), SenderFrame::Fenced(5));
+        assert_eq!(s.subscription().acked(), 0, "a fencing ack is not applied");
+        assert_eq!(
+            s.on_frame(&encode_request(&Request::Hello), t0),
+            SenderFrame::Protocol
+        );
+        assert_eq!(s.on_frame(&[0xff, 0x00], t0), SenderFrame::Protocol);
+        assert_eq!(s.on_frame(&ack(0, 1), t0), SenderFrame::Continue);
+    }
+
+    #[test]
+    fn pump_finishes_only_once_closed_drained_and_nothing_in_flight() {
+        let (hub, mut s) = sender_with(1, 0);
+        let t0 = Instant::now();
+        // Open, idle, nothing in flight: still live.
+        assert_eq!(pump(&mut s, t0), (true, Vec::new()));
+        hub.publish(&batch(1, 1));
+        hub.publish(&batch(2, 1));
+        assert_eq!(seqs(&pump(&mut s, t0).1), vec![1]);
+        hub.close();
+        // Closed, but batch 2 is still queued and batch 1 in flight.
+        assert!(pump(&mut s, t0).0);
+        s.on_frame(&ack(0, 1), t0);
+        let (live, frames) = pump(&mut s, t0);
+        assert!(live, "closed and drained, but batch 2 is in flight");
+        assert_eq!(seqs(&frames), vec![2]);
+        s.on_frame(&ack(0, 2), t0);
+        assert_eq!(pump(&mut s, t0), (false, Vec::new()));
     }
 }

@@ -1,55 +1,43 @@
-//! TCP servers over `std::net` (no async runtime — crates.io is
+//! The TCP server over `std::net` (no async runtime — crates.io is
 //! unavailable; see ROADMAP for the tokio follow-on).
 //!
-//! Two implementations share one dispatch ([`handle_request`]):
+//! [`Server`] is a single-threaded readiness loop (see
+//! [`crate::reactor`]) multiplexing every connection over the vendored
+//! mio-style poller. Connections are capped, requests pipeline, idle
+//! sockets are reaped, and `shutdown()` wakes the loop through the
+//! poller's waker, so it returns promptly even when no connection ever
+//! arrives.
 //!
-//! - [`Server`] — the default: a single-threaded readiness loop (see
-//!   [`crate::reactor`]) multiplexing every connection over the
-//!   vendored mio-style poller. Connections are capped, requests
-//!   pipeline, idle sockets are reaped, and `shutdown()` wakes the
-//!   loop through the poller's waker, so it returns promptly even when
-//!   no connection ever arrives.
-//! - [`BlockingServer`] — the original one-thread-per-connection
-//!   design, retained for A/B benchmarking (`peel-server --blocking`)
-//!   and as the simplest possible reference implementation. Its accept
-//!   loop backs off on persistent accept errors instead of spinning.
+//! [`handle_request`] translates wire [`Request`]s into [`PeelService`]
+//! calls; every service-level failure becomes a protocol `Error`
+//! response, never a dropped connection. A `Subscribe` request converts
+//! its connection into a replication stream: a
+//! [`crate::replication::WindowedSender`] pumped by the loop. A
+//! `Shutdown` request stops the server and unblocks [`Server::wait`].
 //!
-//! Both translate wire [`Request`]s into [`PeelService`] calls; every
-//! service-level failure becomes a protocol `Error` response, never a
-//! dropped connection. A `Subscribe` request converts its connection
-//! into a replication stream (reactor: a [`crate::replication::WindowedSender`]
-//! pumped by the loop; blocking: the handler thread becomes the
-//! sender). A `Shutdown` request stops the server and unblocks
-//! [`Server::wait`].
-//!
-//! Shutdown paths use poison-tolerant locking (`parking_lot` for plain
-//! registries, [`crate::lock`] recovery for the std condvar pair) so a
-//! panicking handler can never cascade into a poisoned-shutdown panic.
+//! Shutdown paths use poison-tolerant locking (`parking_lot` for the
+//! waker slot, [`crate::lock`] recovery for the std condvar pair) so a
+//! panicking thread can never cascade into a poisoned-shutdown panic.
 
-use std::collections::HashMap;
-use std::io::BufWriter;
-use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 // ordering: the stopping flag is Relaxed — it publishes no data of its own
 // (the stop_lock mutex write in signal_stop carries the wait()/shutdown
-// happens-before), and its readers (the accept/reactor loops) re-check on
-// every wakeup, so a stale read costs one extra accepted connection, not
+// happens-before), and its reader (the reactor loop) re-checks on every
+// wakeup, so a stale read costs one extra accepted connection, not
 // correctness. It was SeqCst before the PR-6 ordering audit; nothing needed
 // the total order. Connection counters are Relaxed monotonic statistics.
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use crate::sync::{AtomicBool, Condvar, Mutex as StdMutex};
 
 use crate::lock::{plock, pwait};
-use crate::reactor::{self, AcceptPacer, ReactorConfig};
-use crate::replication::{stream_to_follower, StreamConfig, StreamEnd};
+use crate::reactor::{self, ReactorConfig};
 use crate::service::{PeelService, ServiceConfig};
-use crate::transport::FramedTcp;
-use crate::wire::{decode_request, encode_response, read_frame, write_frame, Request, Response};
+use crate::wire::{Request, Response};
 
 pub(crate) struct Shared {
     pub(crate) service: Arc<PeelService>,
@@ -59,15 +47,9 @@ pub(crate) struct Shared {
     // `crate::lock`.
     pub(crate) stop_lock: StdMutex<bool>,
     pub(crate) stop_cv: Condvar,
-    /// One stream clone per *live* connection (keyed by connection id;
-    /// handlers remove their entry on exit so closed sockets don't leak
-    /// fds), so shutdown can unblock handler threads parked in
-    /// `read_frame`. Used by [`BlockingServer`] only; the reactor owns
-    /// its connections directly.
-    pub(crate) conns: Mutex<HashMap<u64, TcpStream>>,
-    /// The reactor's waker, when this `Shared` fronts a reactor server:
-    /// `signal_stop` rings it so the loop observes `stopping` without
-    /// waiting for socket traffic — the fix for the shutdown stall.
+    /// The reactor's waker: `signal_stop` rings it so the loop observes
+    /// `stopping` without waiting for socket traffic — the fix for the
+    /// shutdown stall.
     pub(crate) waker: Mutex<Option<Arc<mio::Waker>>>,
 }
 
@@ -78,7 +60,6 @@ impl Shared {
             stopping: AtomicBool::new(false),
             stop_lock: StdMutex::new(false),
             stop_cv: Condvar::new(),
-            conns: Mutex::new(HashMap::new()),
             waker: Mutex::new(None),
         }
     }
@@ -87,16 +68,13 @@ impl Shared {
         self.stopping.store(true, Relaxed);
         *plock(&self.stop_lock) = true;
         self.stop_cv.notify_all();
-        // Wake replication senders parked on their subscriptions before
-        // tearing the sockets down under them.
+        // Close every subscription, so each replication sender drains and
+        // reports its stream finished.
         self.service.replication().close();
         // Ring the reactor so it sees `stopping` promptly even with no
         // inbound traffic.
         if let Some(w) = self.waker.lock().as_ref() {
             let _ = w.wake();
-        }
-        for (_, c) in self.conns.lock().drain() {
-            let _ = c.shutdown(SockShutdown::Both);
         }
     }
 }
@@ -213,273 +191,13 @@ impl Drop for Server {
     }
 }
 
-/// The original one-thread-per-connection server: one accept thread
-/// plus one handler thread per connection. Retained for A/B
-/// benchmarking against the reactor and as the reference
-/// implementation; new deployments should prefer [`Server`].
-pub struct BlockingServer {
-    shared: Arc<Shared>,
-    addr: SocketAddr,
-    accept_thread: Option<JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-impl BlockingServer {
-    /// Bind `addr`, start the service worker pool, and begin accepting.
-    pub fn bind<A: ToSocketAddrs>(addr: A, cfg: ServiceConfig) -> std::io::Result<BlockingServer> {
-        Self::bind_with(addr, Arc::new(PeelService::start(cfg)))
-    }
-
-    /// Serve an existing service.
-    pub fn bind_with<A: ToSocketAddrs>(
-        addr: A,
-        service: Arc<PeelService>,
-    ) -> std::io::Result<BlockingServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared::new(service));
-        let handlers = Arc::new(Mutex::new(Vec::new()));
-        let accept_thread = {
-            let shared = Arc::clone(&shared);
-            let handlers = Arc::clone(&handlers);
-            std::thread::spawn(move || accept_loop(&listener, &shared, &handlers))
-        };
-        Ok(BlockingServer {
-            shared,
-            addr,
-            accept_thread: Some(accept_thread),
-            handlers,
-        })
-    }
-
-    /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The underlying service.
-    pub fn service(&self) -> &PeelService {
-        &self.shared.service
-    }
-
-    /// A shareable handle to the underlying service.
-    pub fn service_arc(&self) -> Arc<PeelService> {
-        Arc::clone(&self.shared.service)
-    }
-
-    /// Number of currently live client connections.
-    pub fn live_connections(&self) -> usize {
-        self.shared.conns.lock().len()
-    }
-
-    /// Block until a client sends `Shutdown` or [`BlockingServer::shutdown`]
-    /// runs.
-    pub fn wait(&self) {
-        let mut stopped = plock(&self.shared.stop_lock);
-        while !*stopped {
-            stopped = pwait(&self.shared.stop_cv, stopped);
-        }
-    }
-
-    /// Stop accepting, close open connections, join all threads, and
-    /// shut the service down. Idempotent and poison-tolerant.
-    pub fn shutdown(&mut self) {
-        self.shared.signal_stop();
-        // Unblock the accept loop with a throwaway connection (the
-        // blocking listener has no waker; the reactor server does).
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        let handlers: Vec<_> = self.handlers.lock().drain(..).collect();
-        for h in handlers {
-            let _ = h.join();
-        }
-        self.shared.service.shutdown();
-    }
-}
-
-impl Drop for BlockingServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    let mut next_id = 0u64;
-    let mut pacer = AcceptPacer::new(Duration::from_millis(10), Duration::from_secs(1));
-    loop {
-        let stream = listener.accept();
-        if shared.stopping.load(Relaxed) {
-            break;
-        }
-        let stream = match stream {
-            Ok((s, _peer)) => {
-                pacer.on_success();
-                s
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::ConnectionAborted
-                        | std::io::ErrorKind::ConnectionReset
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                // Transient, per-connection: not an accept-path
-                // failure.
-                continue;
-            }
-            Err(_) => {
-                // Persistent accept failure (EMFILE/ENFILE and
-                // friends): back off instead of spinning hot — the old
-                // silent `continue` here retried instantly, pinning a
-                // core exactly when the process was already in
-                // trouble. Sleep in stop-aware slices so shutdown
-                // stays prompt during the backoff.
-                shared
-                    .service
-                    .metrics_handle()
-                    .accept_errors
-                    .fetch_add(1, Relaxed);
-                let deadline = Instant::now() + pacer.on_error(Instant::now());
-                while !shared.stopping.load(Relaxed) {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    std::thread::sleep((deadline - now).min(Duration::from_millis(10)));
-                }
-                continue;
-            }
-        };
-        // The replication stream is ack-paced frame-by-frame; without
-        // nodelay, Nagle + delayed ACKs turn every batch into a ~40 ms
-        // stall.
-        let _ = stream.set_nodelay(true);
-        let conn_id = next_id;
-        next_id += 1;
-        let metrics = shared.service.metrics_handle();
-        metrics.conns_accepted.fetch_add(1, Relaxed);
-        metrics.conns_live.fetch_add(1, Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().insert(conn_id, clone);
-        }
-        let shared_for_handler = Arc::clone(shared);
-        let handle = std::thread::spawn(move || {
-            handle_connection(stream, &shared_for_handler);
-            shared_for_handler.conns.lock().remove(&conn_id);
-            shared_for_handler
-                .service
-                .metrics_handle()
-                .conns_live
-                .fetch_sub(1, Relaxed);
-        });
-        // Reap finished handlers so a long-running server doesn't grow a
-        // JoinHandle per past connection.
-        let mut slots = handlers.lock();
-        let mut live = Vec::with_capacity(slots.len() + 1);
-        for h in slots.drain(..) {
-            if h.is_finished() {
-                let _ = h.join();
-            } else {
-                live.push(h);
-            }
-        }
-        live.push(handle);
-        *slots = live;
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let mut reader = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(Some(p)) => p,
-            // Clean close, transport error, or shutdown-induced reset:
-            // the connection is done either way.
-            Ok(None) | Err(_) => return,
-        };
-        let req = match decode_request(&payload) {
-            Ok(req) => req,
-            Err(e) => {
-                let resp = Response::Error(format!("bad request: {e}"));
-                if write_frame(&mut writer, &encode_response(&resp)).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        // Subscribe converts this connection into a replication stream:
-        // ack the subscription, then this thread is the follower's
-        // sender until it disconnects or the hub closes.
-        if let Request::Subscribe { last_seq } = req {
-            let ok = Response::Ok { accepted: 0 };
-            if write_frame(&mut writer, &encode_response(&ok)).is_err() {
-                return;
-            }
-            let sub = shared.service.replication().subscribe();
-            let mut transport = FramedTcp::from_parts(reader, writer);
-            let cfg = StreamConfig {
-                window: shared.service.config().repl_window.max(1),
-                ..StreamConfig::default()
-            };
-            if let Ok(StreamEnd::Fenced(epoch)) =
-                stream_to_follower(&mut transport, &sub, last_seq, &cfg)
-            {
-                // A follower acked at a higher epoch: this node has been
-                // deposed. Adopt the fence and step down; the follower
-                // driver (when one is attached) re-parents from here.
-                shared.service.fence_epoch(epoch);
-                shared.service.set_leading(false);
-            }
-            return;
-        }
-        // Per-request observability: a span carrying the frame type (and
-        // shard, when the frame names one) around the dispatch, and the
-        // dispatch latency recorded into the per-class histogram. The
-        // span is free when no subscriber is installed; the histogram
-        // records always.
-        let class = req.class_index();
-        let span = match req.shard_hint() {
-            Some(shard) => tracing::span(
-                "request",
-                &[("kind", req.kind().into()), ("shard", shard.into())],
-            ),
-            None => tracing::span("request", &[("kind", req.kind().into())]),
-        };
-        let started = std::time::Instant::now();
-        let (resp, stop_after) = span.in_scope(|| handle_request(&shared.service, req));
-        drop(span);
-        shared
-            .service
-            .metrics_handle()
-            .record_request(class, started.elapsed().as_nanos() as u64);
-        if write_frame(&mut writer, &encode_response(&resp)).is_err() {
-            return;
-        }
-        if stop_after {
-            shared.signal_stop();
-            return;
-        }
-    }
-}
-
 /// Map one request to one response; the bool asks the server to stop.
 ///
 /// Public so alternative request sources — the deterministic
 /// fault-injection harness in `tests/resharding_faults.rs` feeds mangled
 /// frame sequences through it — exercise exactly the dispatch the TCP
-/// handler runs. (`Subscribe` is special-cased by the connection handler
-/// before it gets here; see `handle_connection`.)
+/// server runs. (`Subscribe` is special-cased by the reactor before it
+/// gets here; see `crate::reactor`.)
 pub fn handle_request(service: &PeelService, req: Request) -> (Response, bool) {
     let resp = match req {
         Request::Hello => Response::Hello(service.hello()),
@@ -555,7 +273,7 @@ pub fn handle_request(service: &PeelService, req: Request) -> (Response, bool) {
             }
         }
         Request::Shutdown => return (Response::Ok { accepted: 0 }, true),
-        // Subscribe is intercepted in `handle_connection`; a stray ack
+        // Subscribe is intercepted by the reactor; a stray ack
         // outside a subscribed stream is a client bug.
         Request::Subscribe { .. } | Request::ReplicateAck { .. } => {
             Response::Error("replication frame outside a subscribed stream".into())

@@ -1,39 +1,23 @@
-//! Framed-transport abstraction for the replication stream.
+//! Framed-transport abstraction for the follower side of the
+//! replication stream.
 //!
-//! The replication sender and applier loops in [`crate::replication`] are
-//! written against the [`Transport`] trait — one frame payload in, one
-//! frame payload out — rather than `TcpStream` directly, so the exact
-//! same code paths run over real sockets in production
-//! ([`FramedTcp`]) and over a deterministic in-memory double in tests
-//! ([`SimTransport`]). The double replays a pre-recorded frame sequence
-//! that a [`FaultPlan`] has mangled — dropping, duplicating, reordering,
-//! and truncating frames by seed — which is how the fault-injection
-//! convergence tests prove anti-entropy repairs whatever the stream
-//! loses. A third implementation, [`SimDuplex`], is a connected pair of
-//! in-memory ends with a fixed one-way delivery delay, used to model a
-//! WAN RTT in the windowed-replication benches. The windowed sender's
-//! retransmit timer rests on [`Transport::recv_timeout`], a bounded
-//! wait that never loses frame sync (partial bytes stay buffered).
+//! The follower's applier loop in [`crate::replication`] is written
+//! against the [`Transport`] trait — one frame payload in, one frame
+//! payload out — rather than `TcpStream` directly, so the exact same
+//! code path runs over real sockets in production ([`FramedTcp`]) and
+//! over a deterministic in-memory double in tests ([`SimTransport`]).
+//! The double replays a pre-recorded frame sequence that a [`FaultPlan`]
+//! has mangled — dropping, duplicating, reordering, and truncating
+//! frames by seed — which is how the fault-injection convergence tests
+//! prove anti-entropy repairs whatever the stream loses. (The primary's
+//! sender, [`crate::replication::WindowedSender`], does no IO; the
+//! reactor feeds it.)
 
 use std::collections::VecDeque;
 use std::io::{BufWriter, Read};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
 
 use crate::wire::{write_frame, FrameDecoder, WireError};
-
-/// What a bounded-wait receive ([`Transport::recv_timeout`]) produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecvOutcome {
-    /// A whole frame payload arrived.
-    Frame(Vec<u8>),
-    /// The peer closed cleanly between frames.
-    Closed,
-    /// No whole frame arrived within the timeout; any partial bytes are
-    /// retained, so a later receive resumes mid-frame without losing
-    /// sync.
-    TimedOut,
-}
 
 /// One bidirectional stream of wire frames.
 pub trait Transport {
@@ -42,23 +26,11 @@ pub trait Transport {
     /// Receive the next frame payload; `Ok(None)` means the peer closed
     /// cleanly (or, for replay doubles, that the recording is exhausted).
     fn recv(&mut self) -> Result<Option<Vec<u8>>, WireError>;
-    /// Receive the next frame payload, waiting at most `timeout`. The
-    /// default implementation ignores the timeout and blocks — correct
-    /// for replay doubles whose `recv` never blocks; transports over
-    /// real sockets override it.
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<RecvOutcome, WireError> {
-        let _ = timeout;
-        Ok(match self.recv()? {
-            Some(payload) => RecvOutcome::Frame(payload),
-            None => RecvOutcome::Closed,
-        })
-    }
 }
 
-/// The production transport: length-prefixed frames over a TCP stream.
-/// Incoming bytes accumulate in a reassembly buffer, so a timed-out
-/// receive that caught half a frame keeps those bytes for the next call
-/// instead of losing frame sync.
+/// The production transport: length-prefixed frames over a TCP stream,
+/// reassembled by [`FrameDecoder`] — the same incremental decoder the
+/// reactor server runs per connection.
 pub struct FramedTcp {
     reader: TcpStream,
     writer: BufWriter<TcpStream>,
@@ -76,52 +48,10 @@ impl FramedTcp {
         }
     }
 
-    /// Wrap a freshly connected stream.
-    pub fn from_stream(stream: TcpStream) -> std::io::Result<Self> {
-        let reader = stream.try_clone()?;
-        Ok(FramedTcp {
-            reader,
-            writer: BufWriter::new(stream),
-            decoder: FrameDecoder::new(),
-        })
-    }
-
     /// A clone of the underlying socket, for out-of-band shutdown (a
     /// blocked `recv` returns once the clone is shut down).
     pub fn peer(&self) -> std::io::Result<TcpStream> {
         self.reader.try_clone()
-    }
-
-    /// Read from the socket until a whole frame is buffered, the peer
-    /// closes, or (when the socket has a read timeout set) the wait
-    /// expires. Reassembly lives in [`FrameDecoder`] — the same
-    /// incremental decoder the reactor server runs per connection.
-    fn fill_until_frame(&mut self) -> Result<RecvOutcome, WireError> {
-        loop {
-            if let Some(payload) = self.decoder.next_frame()? {
-                return Ok(RecvOutcome::Frame(payload));
-            }
-            let mut chunk = [0u8; 4096];
-            match self.reader.read(&mut chunk) {
-                Ok(0) => {
-                    if self.decoder.is_empty() {
-                        return Ok(RecvOutcome::Closed);
-                    }
-                    return Err(WireError::UnexpectedEof);
-                }
-                Ok(n) => self.decoder.push(chunk.get(..n).unwrap_or(&[])),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    // Partial bytes stay buffered; frame sync survives.
-                    return Ok(RecvOutcome::TimedOut);
-                }
-                Err(e) => return Err(WireError::Io(e)),
-            }
-        }
     }
 }
 
@@ -131,23 +61,35 @@ impl Transport for FramedTcp {
     }
 
     fn recv(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+        // The stream may come from a client with I/O deadlines set; the
+        // replication stream idles between batches, so wait forever.
         self.reader.set_read_timeout(None).map_err(WireError::Io)?;
-        match self.fill_until_frame()? {
-            RecvOutcome::Frame(payload) => Ok(Some(payload)),
-            // A blocking socket cannot time out; treat it as a close if
-            // a platform returns it anyway.
-            RecvOutcome::Closed | RecvOutcome::TimedOut => Ok(None),
+        loop {
+            if let Some(payload) = self.decoder.next_frame()? {
+                return Ok(Some(payload));
+            }
+            let mut chunk = [0u8; 4096];
+            match self.reader.read(&mut chunk) {
+                Ok(0) => {
+                    if self.decoder.is_empty() {
+                        return Ok(None);
+                    }
+                    return Err(WireError::UnexpectedEof);
+                }
+                Ok(n) => self.decoder.push(chunk.get(..n).unwrap_or(&[])),
+                // A blocking socket cannot time out; treat it as a close
+                // if a platform returns it anyway.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    return Ok(None);
+                }
+                Err(e) => return Err(WireError::Io(e)),
+            }
         }
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<RecvOutcome, WireError> {
-        // Duration::ZERO means "no timeout" to set_read_timeout, which
-        // is the opposite of what a zero budget asks for.
-        let timeout = timeout.max(Duration::from_millis(1));
-        self.reader
-            .set_read_timeout(Some(timeout))
-            .map_err(WireError::Io)?;
-        self.fill_until_frame()
     }
 }
 
@@ -179,105 +121,6 @@ impl Transport for SimTransport {
 
     fn recv(&mut self) -> Result<Option<Vec<u8>>, WireError> {
         Ok(self.incoming.pop_front())
-    }
-}
-
-// --- Simulated-latency duplex -----------------------------------------------
-
-/// One end of an in-memory duplex link with a fixed one-way delivery
-/// delay — the double the replication benches use to model a WAN RTT
-/// without real sockets. Frames sent on one end become receivable on
-/// the other only after the configured delay; `recv` blocks (sleeping)
-/// until delivery time, and `recv_timeout` honors its budget, retaining
-/// an early-arrived-but-undeliverable frame for the next call.
-pub struct SimDuplex {
-    tx: std::sync::mpsc::Sender<(Instant, Vec<u8>)>,
-    rx: std::sync::mpsc::Receiver<(Instant, Vec<u8>)>,
-    /// A frame pulled off the channel whose delivery time hadn't come
-    /// before a timeout expired; delivered first by the next receive.
-    peeked: Option<(Instant, Vec<u8>)>,
-    delay: Duration,
-}
-
-/// Build a connected pair of [`SimDuplex`] ends with the given one-way
-/// delay (an RTT is two one-way delays: request out, ack back).
-pub fn sim_duplex(one_way: Duration) -> (SimDuplex, SimDuplex) {
-    let (atx, arx) = std::sync::mpsc::channel();
-    let (btx, brx) = std::sync::mpsc::channel();
-    (
-        SimDuplex {
-            tx: atx,
-            rx: brx,
-            peeked: None,
-            delay: one_way,
-        },
-        SimDuplex {
-            tx: btx,
-            rx: arx,
-            peeked: None,
-            delay: one_way,
-        },
-    )
-}
-
-impl Transport for SimDuplex {
-    fn send(&mut self, payload: &[u8]) -> Result<(), WireError> {
-        // A disconnected peer is a clean close from the sender's view;
-        // the next recv on the other end reports it.
-        let _ = self
-            .tx
-            .send((Instant::now() + self.delay, payload.to_vec()));
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        let (at, payload) = match self.peeked.take() {
-            Some(x) => x,
-            None => match self.rx.recv() {
-                Ok(x) => x,
-                Err(_) => return Ok(None),
-            },
-        };
-        let now = Instant::now();
-        if at > now {
-            std::thread::sleep(at - now);
-        }
-        Ok(Some(payload))
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<RecvOutcome, WireError> {
-        let deadline = Instant::now() + timeout;
-        let (at, payload) = match self.peeked.take() {
-            Some(x) => x,
-            None => match self.rx.recv_timeout(timeout) {
-                Ok(x) => x,
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    return Ok(RecvOutcome::TimedOut)
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                    return Ok(RecvOutcome::Closed)
-                }
-            },
-        };
-        if at > deadline {
-            // In flight but not deliverable within this budget: keep it
-            // for the next call, like bytes parked in a socket buffer.
-            // Consume the rest of the budget first — a real socket recv
-            // with a timeout blocks for the whole window when nothing
-            // arrives, and later receives must credit that wait against
-            // the frame's delivery time.
-            self.peeked = Some((at, payload));
-            let now = Instant::now();
-            if deadline > now {
-                std::thread::sleep(deadline - now);
-            }
-            return Ok(RecvOutcome::TimedOut);
-        }
-        let now = Instant::now();
-        if at > now {
-            std::thread::sleep(at - now);
-        }
-        Ok(RecvOutcome::Frame(payload))
     }
 }
 
@@ -463,33 +306,5 @@ mod tests {
         assert_eq!(t.recv().unwrap().unwrap(), vec![1u8; 8]);
         assert!(t.recv().unwrap().is_none());
         assert_eq!(t.sent, vec![b"ack".to_vec()]);
-    }
-
-    #[test]
-    fn sim_duplex_delays_delivery_and_honors_timeouts() {
-        let delay = Duration::from_millis(30);
-        let (mut a, mut b) = sim_duplex(delay);
-        a.send(b"ping").unwrap();
-        // A budget far short of the one-way delay times out — and must
-        // not lose the in-flight frame.
-        assert_eq!(
-            b.recv_timeout(Duration::from_millis(10)).unwrap(),
-            RecvOutcome::TimedOut
-        );
-        let start = Instant::now();
-        assert_eq!(b.recv().unwrap().unwrap(), b"ping".to_vec());
-        assert!(
-            start.elapsed() <= delay,
-            "the earlier timed-out wait must count toward the delay"
-        );
-        // Replies flow the other way with the same delay.
-        b.send(b"pong").unwrap();
-        match a.recv_timeout(Duration::from_millis(500)).unwrap() {
-            RecvOutcome::Frame(f) => assert_eq!(f, b"pong".to_vec()),
-            other => panic!("expected the reply, got {other:?}"),
-        }
-        // Dropping one end closes the link for the other.
-        drop(a);
-        assert!(b.recv().unwrap().is_none());
     }
 }

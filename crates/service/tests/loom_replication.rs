@@ -20,17 +20,21 @@
 //!   `bump_epoch` is either stamped with the post-bump epoch or closed
 //!   — never left alive pinned to the fenced epoch, which would orphan
 //!   a follower on a stream no fence will ever cut again.
-//! * **Transport smoke**: `stream_to_follower` over a seeded
-//!   [`SimTransport`] ack script (clean and fault-mangled) never
-//!   panics, and everything it sends is a well-formed `Replicate` frame
-//!   with strictly increasing sequence numbers.
+//! * **Sender smoke**: a `WindowedSender` fed a seeded ack script
+//!   (clean and fault-mangled) never panics, and everything it emits is
+//!   a well-formed `Replicate` frame with strictly increasing sequence
+//!   numbers.
 
 #![cfg(loom)]
 
+use std::time::Instant;
+
 use loom::sync::Arc;
 use peel_service::queue::Op;
-use peel_service::replication::{stream_to_follower, ReplicationHub, StreamConfig, StreamItem};
-use peel_service::transport::{FaultPlan, SimTransport};
+use peel_service::replication::{
+    ReplicationHub, SenderFrame, StreamConfig, StreamItem, WindowedSender,
+};
+use peel_service::transport::FaultPlan;
 use peel_service::wire::{decode_response, encode_request, Request, Response};
 
 fn batch(key: u64) -> Vec<Op> {
@@ -189,16 +193,43 @@ fn early_closed_sample_loses_the_close_and_replays() {
     assert!(replayed.message.contains("deadlock"));
 }
 
-/// `stream_to_follower` over a scripted `SimTransport`: with clean acks
-/// and with seed-mangled acks, the sender never panics and every frame
-/// it emits is a well-formed `Replicate` in strictly increasing
-/// sequence order, under every publisher interleaving.
+/// One step of a follower connection driving a [`WindowedSender`]: pump
+/// the subscription, then, if a frame is in flight, feed it the next
+/// scripted ack. `false` once the stream is over — finished, the ack
+/// script ran out (the follower hung up), or an ack was not a valid
+/// same-epoch `ReplicateAck`.
+fn step(
+    sender: &mut WindowedSender,
+    acks: &mut impl Iterator<Item = Vec<u8>>,
+    sent: &mut Vec<Vec<u8>>,
+    now: Instant,
+) -> bool {
+    if !sender.pump(now, &mut |frame| sent.push(frame.to_vec())) {
+        return false;
+    }
+    // The retransmit timer is armed exactly while a frame is in flight.
+    if sender.deadline().is_none() {
+        return true;
+    }
+    match acks.next() {
+        Some(ack) => sender.on_frame(&ack, now) == SenderFrame::Continue,
+        None => false,
+    }
+}
+
+/// [`WindowedSender`] fed a scripted ack stream: with clean acks and
+/// with seed-mangled acks, the sender never panics and every frame it
+/// emits is a well-formed `Replicate` in strictly increasing sequence
+/// order, under every publisher interleaving. The sender never blocks,
+/// so the model races a bounded number of steps against the publisher,
+/// then joins it and drains (a spin-wait would never end once the
+/// checker's preemption budget is spent).
 #[test]
-fn sim_transport_stream_smoke() {
+fn windowed_sender_stream_smoke() {
     for plan in [FaultPlan::clean(42), FaultPlan::for_seed(7)] {
         loom::model(move || {
             let hub = Arc::new(ReplicationHub::new(1));
-            let sub = hub.subscribe();
+            let mut sender = WindowedSender::new(hub.subscribe(), 0, StreamConfig::default());
             let publisher = {
                 let hub = Arc::clone(&hub);
                 loom::thread::spawn(move || {
@@ -210,12 +241,16 @@ fn sim_transport_stream_smoke() {
             let acks: Vec<Vec<u8>> = (1..=2u64)
                 .map(|seq| encode_request(&Request::ReplicateAck { epoch: 0, seq }))
                 .collect();
-            let mut transport = SimTransport::new(plan.mangle(&acks));
-            stream_to_follower(&mut transport, &sub, 0, &StreamConfig::default())
-                .expect("SimTransport never errors");
+            let mut acks = plan.mangle(&acks).into_iter();
+            let mut sent = Vec::new();
+            let now = Instant::now();
+            let mut live = (0..2).all(|_| step(&mut sender, &mut acks, &mut sent, now));
             publisher.join().unwrap();
+            while live {
+                live = step(&mut sender, &mut acks, &mut sent, now);
+            }
             let mut last = 0u64;
-            for frame in &transport.sent {
+            for frame in &sent {
                 match decode_response(frame) {
                     Ok(Response::Replicate { seq, .. }) => {
                         assert!(seq > last, "stream went backwards: {seq} after {last}");

@@ -20,10 +20,9 @@ fn test_cfg() -> ServiceConfig {
     }
 }
 
-/// The regression this PR's waker fixed: `shutdown()` must return
+/// The regression the reactor's waker fixed: `shutdown()` must return
 /// promptly even when no connection ever arrives to nudge the accept
-/// loop. (The blocking server needs a throwaway connect for this; the
-/// reactor must not.)
+/// loop, with no throwaway loopback connect.
 #[test]
 fn shutdown_completes_promptly_with_no_inbound_connection() {
     let mut server = Server::bind("127.0.0.1:0", test_cfg()).unwrap();

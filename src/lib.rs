@@ -19,8 +19,9 @@
 //!   with primary→follower replication healed by IBLT anti-entropy
 //!   (`peel-service`).
 //!
-//! See the repository README for the architecture overview, DESIGN.md for
-//! the paper-to-module map, and EXPERIMENTS.md for reproduction results.
+//! See the repository README for the architecture overview, the
+//! `peel-bench` binaries for the paper's tables and figures, and
+//! `benchmark/` for the measured wall-clock numbers.
 //!
 //! ## Quickstart
 //!

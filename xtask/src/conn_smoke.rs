@@ -127,11 +127,10 @@ pub fn run(root: &Path, bin: &Path) -> Result<(), String> {
                 .map_err(|e| format!("conn {i} read {k}: {e}"))?
                 .ok_or_else(|| format!("conn {i} closed before response {k}"))?;
             let resp = decode_response(&payload).map_err(|e| format!("conn {i} resp {k}: {e}"))?;
-            let ok = match (k % 2, resp) {
-                (0, Response::Hello(_)) => true,
-                (1, Response::Stats(_)) => true,
-                _ => false,
-            };
+            let ok = matches!(
+                (k % 2, resp),
+                (0, Response::Hello(_)) | (1, Response::Stats(_))
+            );
             if !ok {
                 return Err(format!(
                     "conn {i}: pipelined response {k} was the wrong variant — \
