@@ -258,7 +258,7 @@ fn main() {
         m.recoveries,
         m.recoveries_incomplete,
         m.recovery_subrounds,
-        m.recovery_ns as f64 / 1e6,
+        m.recovery_latency.sum as f64 / 1e6,
     );
     let r = &m.replication;
     println!(

@@ -53,7 +53,10 @@
 //!   tracing spans through every layer (`vendor/tracing`), Prometheus
 //!   text exposition (the `MetricsText` frame and `peel-server
 //!   --metrics-addr`), and a seqlock-ring flight recorder dumped by the
-//!   `DebugDump` frame and the server's panic hook.
+//!   `DebugDump` frame and the server's panic hook. Every exported
+//!   family is one row of [`metrics::FAMILIES`]; the `Stats` frame,
+//!   the Prometheus body and the README metric reference all derive
+//!   from that table.
 //!
 //! ## Why the table stays small
 //!

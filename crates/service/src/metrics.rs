@@ -5,9 +5,17 @@
 //! apply, recovery decode) plus the per-follower replication lag.
 //!
 //! All counters are relaxed atomics updated on the hot paths; a
-//! [`MetricsSnapshot`] is a plain-data copy that the wire protocol can
-//! ship to clients (`Stats` request) and the Prometheus renderer
-//! (`prom` module) can format.
+//! [`MetricsSnapshot`] is a plain-data copy of them.
+//!
+//! [`FAMILIES`] is the one declaration of what the service exports: one
+//! row per metric family with its Prometheus name, type, help string,
+//! and the snapshot field it reads. The `Stats` wire frame (named
+//! entries, `wire` module), the Prometheus body (`prom` module), and the
+//! README metric reference (checked by this module's
+//! `readme_metric_reference_is_current` test) are all derived from it,
+//! so exporting a new scalar means an atomic, its snapshot copy, a
+//! snapshot field, and one table row — no codec or renderer edit, and no
+//! protocol bump.
 
 // ordering: all metrics are Relaxed — monotone counters, last-value
 // gauges, and histogram buckets bumped with commutative fetch_add or
@@ -233,19 +241,12 @@ pub struct Metrics {
     pub batches_applied: AtomicU64,
     /// Individual operations applied (inserts + deletes).
     pub ops_applied: AtomicU64,
-    /// Times a producer blocked because the bounded queue was full.
-    pub queue_stalls: AtomicU64,
     /// Recoveries (reconciliations) run.
     pub recoveries: AtomicU64,
     /// Recoveries that did not decode completely.
     pub recoveries_incomplete: AtomicU64,
     /// Total parallel subrounds across all recoveries.
     pub recovery_subrounds: AtomicU64,
-    /// Total wall time spent inside recovery subrounds, in nanoseconds —
-    /// with `recoveries`, the mean decode latency a reconcile pays.
-    /// Kept alongside the `recovery_latency` histogram for backward
-    /// compatibility (pre-v5 clients read only this sum).
-    pub recovery_ns: AtomicU64,
     /// Replicated batches applied by this service when acting as a
     /// follower (deduplicated by sequence number).
     pub repl_applied: AtomicU64,
@@ -288,8 +289,8 @@ pub struct Metrics {
     pub queue_wait: AtomicHistogram,
     /// Time a worker spends applying one batch to its shards (ns).
     pub batch_apply: AtomicHistogram,
-    /// Per-recovery wall time (ns) — the distribution behind the
-    /// `recovery_ns` lifetime sum.
+    /// Per-recovery wall time (ns); its `sum` is the lifetime total
+    /// spent decoding.
     pub recovery_latency: AtomicHistogram,
     /// Per-subround trace of the most recent recovery: key counts (the
     /// paper's Table 5/6 trace) and wall times in ns, as parallel
@@ -314,7 +315,6 @@ impl Metrics {
         }
         self.recovery_subrounds.fetch_add(subrounds as u64, Relaxed);
         let total_ns = per_subround_ns.iter().sum::<u64>();
-        self.recovery_ns.fetch_add(total_ns, Relaxed);
         self.recovery_latency.record(total_ns);
         // Overwrite in place: the trace buffers keep their capacity, so
         // steady-state recording never allocates.
@@ -339,7 +339,8 @@ impl Metrics {
     /// filled in by the service, which owns the shards, the replication
     /// hub, and the generation state; the follower-side replication
     /// counters and the reshard outcome counters live here and are
-    /// merged in.
+    /// merged in. `queue_stalls` is left 0 for the service to copy from
+    /// its ingest queue.
     pub fn snapshot(
         &self,
         shards: Vec<ShardStats>,
@@ -364,11 +365,10 @@ impl Metrics {
         MetricsSnapshot {
             batches_applied: self.batches_applied.load(Relaxed),
             ops_applied: self.ops_applied.load(Relaxed),
-            queue_stalls: self.queue_stalls.load(Relaxed),
+            queue_stalls: 0,
             recoveries: self.recoveries.load(Relaxed),
             recoveries_incomplete: self.recoveries_incomplete.load(Relaxed),
             recovery_subrounds: self.recovery_subrounds.load(Relaxed),
-            recovery_ns: self.recovery_ns.load(Relaxed),
             last_recovery_trace: trace,
             last_recovery_trace_ns: trace_ns,
             shards,
@@ -389,7 +389,7 @@ impl Metrics {
     }
 }
 
-/// Server front-door state at snapshot time (protocol v7 block).
+/// Server front-door state at snapshot time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnectionStats {
     /// Currently open client connections.
@@ -516,7 +516,8 @@ pub struct MetricsSnapshot {
     pub batches_applied: u64,
     /// Individual operations applied.
     pub ops_applied: u64,
-    /// Producer stalls on the bounded queue (backpressure events).
+    /// Producer stalls on the bounded queue (backpressure events), as
+    /// counted by the queue itself.
     pub queue_stalls: u64,
     /// Recoveries run.
     pub recoveries: u64,
@@ -524,8 +525,6 @@ pub struct MetricsSnapshot {
     pub recoveries_incomplete: u64,
     /// Total subrounds across all recoveries.
     pub recovery_subrounds: u64,
-    /// Total wall time spent in recovery subrounds, nanoseconds.
-    pub recovery_ns: u64,
     /// Per-subround key counts of the most recent recovery.
     pub last_recovery_trace: Vec<u64>,
     /// Per-subround wall times (ns) of the most recent recovery, aligned
@@ -545,7 +544,7 @@ pub struct MetricsSnapshot {
     pub batch_apply: HistogramSnapshot,
     /// Per-recovery wall-time distribution (ns).
     pub recovery_latency: HistogramSnapshot,
-    /// Server connection counters (protocol v7).
+    /// Server connection counters.
     pub connections: ConnectionStats,
 }
 
@@ -559,9 +558,403 @@ impl MetricsSnapshot {
     }
 }
 
+// --- The metric table ------------------------------------------------------
+
+/// Prometheus family type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A monotone count.
+    Counter,
+    /// A last value.
+    Gauge,
+    /// A bucketed distribution, rendered with a `_quantile` gauge beside it.
+    Histogram,
+}
+
+impl Kind {
+    /// The `# TYPE` keyword.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        }
+    }
+}
+
+/// A scalar snapshot field type: widened to the `u64` that the `Stats`
+/// frame and the Prometheus body carry, narrowed back on decode.
+trait FromWire: Sized {
+    /// The field value for a decoded `u64`, or `None` if it does not fit.
+    fn from_wire(v: u64) -> Option<Self>;
+}
+
+impl FromWire for u64 {
+    fn from_wire(v: u64) -> Option<Self> {
+        Some(v)
+    }
+}
+
+impl FromWire for u32 {
+    fn from_wire(v: u64) -> Option<Self> {
+        v.try_into().ok()
+    }
+}
+
+impl FromWire for bool {
+    fn from_wire(v: u64) -> Option<Self> {
+        match v {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+}
+
+/// Store `v` into `field` if it fits the field's type.
+fn narrow<T: FromWire>(field: &mut T, v: u64) -> bool {
+    T::from_wire(v).map(|x| *field = x).is_some()
+}
+
+/// Where a family's samples live in a [`MetricsSnapshot`].
+#[derive(Clone, Copy)]
+pub enum Source {
+    /// One unlabelled sample.
+    Scalar {
+        /// The field, widened to `u64`.
+        get: fn(&MetricsSnapshot) -> u64,
+        /// Store a decoded value; false if it does not fit the field.
+        set: fn(&mut MetricsSnapshot, u64) -> bool,
+    },
+    /// One sample per shard, labelled `shard` by index.
+    Shard(fn(&ShardStats) -> u64),
+    /// One sample per follower row, labelled `follower` by id.
+    Follower(fn(&FollowerStats) -> u64),
+    /// Histogram series: one unlabelled, or one per request class.
+    Histogram {
+        /// The series (in [`REQUEST_CLASSES`] order when per class).
+        series: fn(&MetricsSnapshot) -> &[HistogramSnapshot],
+        /// Store decoded series; false if their count does not fit.
+        store: fn(&mut MetricsSnapshot, Vec<HistogramSnapshot>) -> bool,
+        /// True when the series are labelled `class`.
+        per_class: bool,
+        /// Help text of the `_quantile` companion gauge.
+        quantile_help: &'static str,
+    },
+}
+
+/// One exported metric family: a [`FAMILIES`] row.
+#[derive(Clone, Copy)]
+pub struct Family {
+    /// Prometheus name, also the family's entry name in the `Stats` frame.
+    pub name: &'static str,
+    /// Prometheus type.
+    pub kind: Kind,
+    /// `# HELP` text.
+    pub help: &'static str,
+    /// Where the samples come from.
+    pub source: Source,
+}
+
+impl Family {
+    /// The label that tells this family's samples apart, if any
+    /// (histogram `le` and quantile `q` labels aside).
+    pub(crate) fn label(&self) -> Option<&'static str> {
+        match self.source {
+            Source::Shard(_) => Some("shard"),
+            Source::Follower(_) => Some("follower"),
+            Source::Histogram {
+                per_class: true, ..
+            } => Some("class"),
+            _ => None,
+        }
+    }
+}
+
+/// The [`FAMILIES`] row named `name`, if this build exports it.
+pub(crate) fn family(name: &str) -> Option<&'static Family> {
+    FAMILIES.iter().find(|f| f.name == name)
+}
+
+/// One [`FAMILIES`] row. The forms:
+///
+/// * `counter|gauge "name" = field.path, "help"` — an unlabelled `u64`,
+///   `u32` or `bool` snapshot field;
+/// * `shard|follower counter|gauge "name" = field, "help"` — a field of
+///   every [`ShardStats`] / [`FollowerStats`] row;
+/// * `[class] histogram "name" = field.path, "help", "quantile help"` —
+///   a [`HistogramSnapshot`] field (a per-class `Vec` with `class`).
+macro_rules! family {
+    (@kind counter) => { Kind::Counter };
+    (@kind gauge) => { Kind::Gauge };
+    (shard $kind:ident $name:literal = $f:ident, $help:literal) => {
+        Family {
+            name: $name, kind: family!(@kind $kind), help: $help,
+            source: Source::Shard(|r| u64::from(r.$f)),
+        }
+    };
+    (follower $kind:ident $name:literal = $f:ident, $help:literal) => {
+        Family {
+            name: $name, kind: family!(@kind $kind), help: $help,
+            source: Source::Follower(|r| u64::from(r.$f)),
+        }
+    };
+    (class histogram $name:literal = $f:ident, $help:literal, $qhelp:literal) => {
+        Family {
+            name: $name, kind: Kind::Histogram, help: $help,
+            source: Source::Histogram {
+                series: |s| &s.$f,
+                store: |s, v| v.len() <= REQUEST_CLASSES.len() && { s.$f = v; true },
+                per_class: true,
+                quantile_help: $qhelp,
+            },
+        }
+    };
+    (histogram $name:literal = $($f:ident).+, $help:literal, $qhelp:literal) => {
+        Family {
+            name: $name, kind: Kind::Histogram, help: $help,
+            source: Source::Histogram {
+                series: |s| std::slice::from_ref(&s.$($f).+),
+                store: |s, mut v| match (v.pop(), v.is_empty()) {
+                    (Some(h), true) => { s.$($f).+ = h; true }
+                    _ => false,
+                },
+                per_class: false,
+                quantile_help: $qhelp,
+            },
+        }
+    };
+    ($kind:ident $name:literal = $($f:ident).+, $help:literal) => {
+        Family {
+            name: $name, kind: family!(@kind $kind), help: $help,
+            source: Source::Scalar {
+                get: |s| u64::from(s.$($f).+),
+                set: |s, v| narrow(&mut s.$($f).+, v),
+            },
+        }
+    };
+}
+
+/// Every exported metric family, in `/metrics` order — the one place a
+/// family's name, type, help and snapshot field are written down.
+pub static FAMILIES: &[Family] = &[
+    family!(counter "peel_batches_applied_total" = batches_applied,
+        "Batches drained from the ingest queue and applied"),
+    family!(counter "peel_ops_applied_total" = ops_applied,
+        "Individual operations applied (inserts + deletes)"),
+    family!(counter "peel_queue_stalls_total" = queue_stalls,
+        "Producer stalls on the full bounded ingest queue"),
+    family!(counter "peel_recoveries_total" = recoveries,
+        "IBLT recoveries (reconciliations) run"),
+    family!(counter "peel_recoveries_incomplete_total" = recoveries_incomplete,
+        "Recoveries that did not decode completely"),
+    family!(counter "peel_recovery_subrounds_total" = recovery_subrounds,
+        "Parallel subrounds across all recoveries"),
+    family!(gauge "peel_connections_live" = connections.live,
+        "Client connections currently open on the server"),
+    family!(counter "peel_connections_accepted_total" = connections.accepted,
+        "Client connections accepted since start"),
+    family!(counter "peel_connections_refused_total" = connections.refused,
+        "Connections refused at the connection cap"),
+    family!(counter "peel_connections_idle_reaped_total" = connections.idle_reaped,
+        "Connections closed by the idle-timeout reaper"),
+    family!(counter "peel_accept_errors_total" = connections.accept_errors,
+        "Persistent accept() failures (EMFILE and friends) that triggered backoff"),
+    family!(shard gauge "peel_shard_epoch" = epoch,
+        "Batches applied to the shard (its epoch)"),
+    family!(shard counter "peel_shard_inserts_total" = inserts,
+        "Keys inserted into the shard"),
+    family!(shard counter "peel_shard_deletes_total" = deletes,
+        "Keys deleted from the shard"),
+    family!(gauge "peel_replication_followers" = replication.followers,
+        "Live follower subscriptions"),
+    family!(gauge "peel_replication_epoch" = replication.epoch,
+        "Replication epoch this node is fenced at"),
+    family!(counter "peel_replication_fenced_total" = replication.fenced,
+        "Replication frames refused for carrying a stale epoch"),
+    family!(gauge "peel_replica_leading" = replication.leading,
+        "1 while this node believes it is the primary"),
+    family!(gauge "peel_replica_read_lag_batches" = replication.read_lag,
+        "This replica's own serving lag in sealed batches (0 when leading)"),
+    family!(gauge "peel_replication_published_seq" = replication.published_seq,
+        "Highest sealed batch sequence number"),
+    family!(gauge "peel_replication_acked_min" = replication.acked_min,
+        "Lowest acknowledged sequence across followers"),
+    family!(gauge "peel_replication_max_lag" = replication.max_lag,
+        "Largest per-follower replication lag, in batches"),
+    family!(counter "peel_replication_batches_streamed_total" = replication.batches_streamed,
+        "Batches written to follower connections"),
+    family!(counter "peel_replication_batches_dropped_total" = replication.batches_dropped,
+        "Batches dropped on follower queue overflow"),
+    family!(counter "peel_replication_batches_applied_total" = replication.batches_applied,
+        "Follower side: replicated batches applied"),
+    family!(counter "peel_replication_batches_skipped_total" = replication.batches_skipped,
+        "Follower side: duplicate or stale batches skipped"),
+    family!(counter "peel_replication_decode_errors_total" = replication.decode_errors,
+        "Follower side: replication frames that failed to decode"),
+    family!(counter "peel_replication_anti_entropy_rounds_total" = replication.anti_entropy_rounds,
+        "Follower side: anti-entropy repair rounds completed"),
+    family!(counter "peel_replication_anti_entropy_keys_total" = replication.anti_entropy_keys,
+        "Follower side: keys healed by anti-entropy repair"),
+    family!(follower gauge "peel_replication_follower_published" = published,
+        "Per follower: highest sequence published while it was live"),
+    family!(follower gauge "peel_replication_follower_acked" = acked,
+        "Per follower: highest sequence acknowledged"),
+    family!(follower gauge "peel_replication_follower_lag" = lag,
+        "Per follower: published minus acked, in batches"),
+    family!(follower gauge "peel_replication_follower_alive" = alive,
+        "Per follower: 1 while connected, 0 on a disconnected final row"),
+    family!(histogram "peel_replication_lag_batches" = replication.lag,
+        "Replication lag observed at each follower ack, in batches",
+        "Replication-lag quantile readout (labelled by q)"),
+    family!(gauge "peel_reshard_generation" = reshard.generation,
+        "Generation number of the serving shard set"),
+    family!(gauge "peel_reshard_active" = reshard.resharding,
+        "1 while a migration to a new generation is in flight"),
+    family!(gauge "peel_reshard_serving_shards" = reshard.serving_shards,
+        "Shard count of the serving generation"),
+    family!(gauge "peel_reshard_target_shards" = reshard.to_shards,
+        "Shard count of the migration target"),
+    family!(gauge "peel_reshard_keys_moved" = reshard.keys_moved,
+        "Keys re-keyed by the in-flight or most recent migration"),
+    family!(gauge "peel_reshard_shards_verified" = reshard.shards_verified,
+        "New-generation shards verified cell-identical"),
+    family!(counter "peel_reshards_completed_total" = reshard.completed,
+        "Reshards committed (generation cutovers)"),
+    family!(counter "peel_reshards_aborted_total" = reshard.aborted,
+        "Reshards aborted (old generation kept)"),
+    family!(class histogram "peel_request_latency_ns" = request_latency,
+        "Request dispatch latency by frame class, nanoseconds",
+        "Request-latency quantile readout (labelled by class and q)"),
+    family!(histogram "peel_queue_wait_ns" = queue_wait,
+        "Time sealed batches wait in the ingest queue, nanoseconds",
+        "Queue-wait quantile readout (labelled by q)"),
+    family!(histogram "peel_batch_apply_ns" = batch_apply,
+        "Time a worker spends applying one batch, nanoseconds",
+        "Batch-apply quantile readout (labelled by q)"),
+    family!(histogram "peel_recovery_latency_ns" = recovery_latency,
+        "Per-recovery wall time, nanoseconds",
+        "Recovery-latency quantile readout (labelled by q)"),
+];
+
+/// Test fixture driven by the table: every scalar row holds a distinct
+/// value set through its `set` (1 for `bool` rows), every histogram row
+/// distinct series, and each labelled block one row.
+#[cfg(test)]
+pub(crate) fn table_fixture() -> MetricsSnapshot {
+    let mut s = MetricsSnapshot::default();
+    for (i, f) in FAMILIES.iter().enumerate() {
+        let i = i as u64;
+        match f.source {
+            Source::Scalar { set, .. } => assert!(set(&mut s, 1000 + i) || set(&mut s, 1)),
+            Source::Histogram {
+                store, per_class, ..
+            } => {
+                let h = AtomicHistogram::new();
+                h.record(i);
+                h.record(i << 20);
+                let n = if per_class { REQUEST_CLASSES.len() } else { 1 };
+                assert!(store(&mut s, vec![h.snapshot(); n]), "{}", f.name);
+            }
+            Source::Shard(_) | Source::Follower(_) => {}
+        }
+    }
+    s.last_recovery_trace = vec![5, 2, 1];
+    s.last_recovery_trace_ns = vec![700, 200, 90];
+    s.shards = vec![ShardStats {
+        epoch: 3,
+        inserts: 40,
+        deletes: 2,
+    }];
+    s.replication.per_follower = vec![FollowerStats {
+        id: 6,
+        published: 9,
+        acked: 7,
+        lag: 2,
+        alive: true,
+    }];
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const METRICS_BEGIN: &str = "<!-- metrics:begin -->";
+    const METRICS_END: &str = "<!-- metrics:end -->";
+
+    /// README's metric reference, generated from the table: one row per
+    /// family, plus one per histogram's `_quantile` companion.
+    fn reference_rows() -> String {
+        let mut out = String::from("| Metric | Type | Labels | Help |\n|---|---|---|---|\n");
+        for f in FAMILIES {
+            let row = |out: &mut String, name: &str, ty: &str, extra: Option<&str>, help: &str| {
+                let labels: Vec<String> = f
+                    .label()
+                    .into_iter()
+                    .chain(extra)
+                    .map(|l| format!("`{l}`"))
+                    .collect();
+                let labels = if labels.is_empty() {
+                    "—".to_string()
+                } else {
+                    labels.join(", ")
+                };
+                out.push_str(&format!("| `{name}` | {ty} | {labels} | {help} |\n"));
+            };
+            match f.source {
+                Source::Histogram { quantile_help, .. } => {
+                    row(&mut out, f.name, f.kind.as_str(), Some("le"), f.help);
+                    let quantile = format!("{}_quantile", f.name);
+                    row(&mut out, &quantile, "gauge", Some("q"), quantile_help);
+                }
+                _ => row(&mut out, f.name, f.kind.as_str(), None, f.help),
+            }
+        }
+        out
+    }
+
+    /// The README block between the metrics markers is exactly the
+    /// table's rendering; on drift, the failure prints the block to
+    /// paste.
+    #[test]
+    fn readme_metric_reference_is_current() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+        let readme = std::fs::read_to_string(path).unwrap();
+        let b = readme
+            .find(METRICS_BEGIN)
+            .expect("README lacks the metrics:begin marker");
+        let e = readme
+            .find(METRICS_END)
+            .expect("README lacks the metrics:end marker");
+        let want = reference_rows();
+        assert!(
+            readme[b + METRICS_BEGIN.len()..e].trim() == want.trim(),
+            "README metric reference is stale; replace its block with:\n\n\
+             {METRICS_BEGIN}\n\n{want}\n{METRICS_END}\n"
+        );
+    }
+
+    #[test]
+    fn scalar_rows_narrow_or_refuse() {
+        let mut s = MetricsSnapshot::default();
+        let set = |name: &str, s: &mut MetricsSnapshot, v: u64| match family(name).unwrap().source {
+            Source::Scalar { set, .. } => set(s, v),
+            _ => unreachable!("{name} is not a scalar row"),
+        };
+        assert!(set("peel_replica_leading", &mut s, 1));
+        assert!(s.replication.leading);
+        assert!(!set("peel_replica_leading", &mut s, 2));
+        assert!(set("peel_reshard_target_shards", &mut s, u32::MAX as u64));
+        assert_eq!(s.reshard.to_shards, u32::MAX);
+        assert!(!set(
+            "peel_reshard_target_shards",
+            &mut s,
+            u32::MAX as u64 + 1
+        ));
+        assert!(set("peel_connections_refused_total", &mut s, u64::MAX));
+        assert_eq!(s.connections.refused, u64::MAX);
+    }
 
     #[test]
     fn snapshot_copies_counters() {
@@ -596,7 +989,6 @@ mod tests {
         assert_eq!(s.recoveries, 2);
         assert_eq!(s.recoveries_incomplete, 1);
         assert_eq!(s.recovery_subrounds, 14);
-        assert_eq!(s.recovery_ns, 900 + 300 + 100 + 250);
         assert_eq!(s.last_recovery_trace, vec![1]);
         assert_eq!(s.last_recovery_trace_ns, vec![250]);
         assert_eq!(s.shards.len(), 2);

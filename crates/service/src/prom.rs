@@ -5,495 +5,107 @@
 //! two ways: as the `MetricsText` wire frame, and over plain HTTP by
 //! the optional `peel-server --metrics-addr` listener.
 //!
-//! Every exported family is declared in [`REGISTRY`] with its type and
-//! help string. `cargo xtask lint` cross-checks the registry against
-//! the metric table in README.md's "Observability" section, so a
-//! metric cannot ship unrenamed, undocumented, or undescribed.
+//! The body is one pass over the metric table, [`FAMILIES`]: each row
+//! supplies its name, type, help, and samples, so this module names no
+//! family and no scalar or histogram field. Only the labelled rows are
+//! walked here — one loop per shard, per follower, and per class.
 
 use std::fmt::Write as _;
 
-use crate::metrics::{bucket_floor, HistogramSnapshot, MetricsSnapshot, REQUEST_CLASSES};
-
-/// Every exported metric family: `(name, type, help)`. The xtask
-/// metrics-registry pass parses this table textually — keep every
-/// entry a plain string-literal tuple (no consts, no concatenation).
-pub const REGISTRY: &[(&str, &str, &str)] = &[
-    (
-        "peel_batches_applied_total",
-        "counter",
-        "Batches drained from the ingest queue and applied",
-    ),
-    (
-        "peel_ops_applied_total",
-        "counter",
-        "Individual operations applied (inserts + deletes)",
-    ),
-    (
-        "peel_queue_stalls_total",
-        "counter",
-        "Producer stalls on the full bounded ingest queue",
-    ),
-    (
-        "peel_recoveries_total",
-        "counter",
-        "IBLT recoveries (reconciliations) run",
-    ),
-    (
-        "peel_recoveries_incomplete_total",
-        "counter",
-        "Recoveries that did not decode completely",
-    ),
-    (
-        "peel_recovery_subrounds_total",
-        "counter",
-        "Parallel subrounds across all recoveries",
-    ),
-    (
-        "peel_recovery_ns_total",
-        "counter",
-        "Wall time inside recovery subrounds, nanoseconds",
-    ),
-    (
-        "peel_shard_epoch",
-        "gauge",
-        "Batches applied to the shard (its epoch)",
-    ),
-    (
-        "peel_shard_inserts_total",
-        "counter",
-        "Keys inserted into the shard",
-    ),
-    (
-        "peel_shard_deletes_total",
-        "counter",
-        "Keys deleted from the shard",
-    ),
-    (
-        "peel_replication_followers",
-        "gauge",
-        "Live follower subscriptions",
-    ),
-    (
-        "peel_replication_epoch",
-        "gauge",
-        "Replication epoch this node is fenced at",
-    ),
-    (
-        "peel_replication_fenced_total",
-        "counter",
-        "Replication frames refused for carrying a stale epoch",
-    ),
-    (
-        "peel_replica_leading",
-        "gauge",
-        "1 while this node believes it is the primary",
-    ),
-    (
-        "peel_replica_read_lag_batches",
-        "gauge",
-        "This replica's own serving lag in sealed batches (0 when leading)",
-    ),
-    (
-        "peel_replication_published_seq",
-        "gauge",
-        "Highest sealed batch sequence number",
-    ),
-    (
-        "peel_replication_acked_min",
-        "gauge",
-        "Lowest acknowledged sequence across followers",
-    ),
-    (
-        "peel_replication_max_lag",
-        "gauge",
-        "Largest per-follower replication lag, in batches",
-    ),
-    (
-        "peel_replication_batches_streamed_total",
-        "counter",
-        "Batches written to follower connections",
-    ),
-    (
-        "peel_replication_batches_dropped_total",
-        "counter",
-        "Batches dropped on follower queue overflow",
-    ),
-    (
-        "peel_replication_batches_applied_total",
-        "counter",
-        "Follower side: replicated batches applied",
-    ),
-    (
-        "peel_replication_batches_skipped_total",
-        "counter",
-        "Follower side: duplicate or stale batches skipped",
-    ),
-    (
-        "peel_replication_decode_errors_total",
-        "counter",
-        "Follower side: replication frames that failed to decode",
-    ),
-    (
-        "peel_replication_anti_entropy_rounds_total",
-        "counter",
-        "Follower side: anti-entropy repair rounds completed",
-    ),
-    (
-        "peel_replication_anti_entropy_keys_total",
-        "counter",
-        "Follower side: keys healed by anti-entropy repair",
-    ),
-    (
-        "peel_replication_follower_published",
-        "gauge",
-        "Per follower: highest sequence published while it was live",
-    ),
-    (
-        "peel_replication_follower_acked",
-        "gauge",
-        "Per follower: highest sequence acknowledged",
-    ),
-    (
-        "peel_replication_follower_lag",
-        "gauge",
-        "Per follower: published minus acked, in batches",
-    ),
-    (
-        "peel_replication_follower_alive",
-        "gauge",
-        "Per follower: 1 while connected, 0 on a disconnected final row",
-    ),
-    (
-        "peel_replication_lag_batches",
-        "histogram",
-        "Replication lag observed at each follower ack, in batches",
-    ),
-    (
-        "peel_replication_lag_batches_quantile",
-        "gauge",
-        "Replication-lag quantile readout (labelled by q)",
-    ),
-    (
-        "peel_reshard_generation",
-        "gauge",
-        "Generation number of the serving shard set",
-    ),
-    (
-        "peel_reshard_active",
-        "gauge",
-        "1 while a migration to a new generation is in flight",
-    ),
-    (
-        "peel_reshard_serving_shards",
-        "gauge",
-        "Shard count of the serving generation",
-    ),
-    (
-        "peel_reshard_target_shards",
-        "gauge",
-        "Shard count of the migration target",
-    ),
-    (
-        "peel_reshard_keys_moved",
-        "gauge",
-        "Keys re-keyed by the in-flight or most recent migration",
-    ),
-    (
-        "peel_reshard_shards_verified",
-        "gauge",
-        "New-generation shards verified cell-identical",
-    ),
-    (
-        "peel_reshards_completed_total",
-        "counter",
-        "Reshards committed (generation cutovers)",
-    ),
-    (
-        "peel_reshards_aborted_total",
-        "counter",
-        "Reshards aborted (old generation kept)",
-    ),
-    (
-        "peel_request_latency_ns",
-        "histogram",
-        "Request dispatch latency by frame class, nanoseconds",
-    ),
-    (
-        "peel_request_latency_ns_quantile",
-        "gauge",
-        "Request-latency quantile readout (labelled by class and q)",
-    ),
-    (
-        "peel_queue_wait_ns",
-        "histogram",
-        "Time sealed batches wait in the ingest queue, nanoseconds",
-    ),
-    (
-        "peel_queue_wait_ns_quantile",
-        "gauge",
-        "Queue-wait quantile readout (labelled by q)",
-    ),
-    (
-        "peel_batch_apply_ns",
-        "histogram",
-        "Time a worker spends applying one batch, nanoseconds",
-    ),
-    (
-        "peel_batch_apply_ns_quantile",
-        "gauge",
-        "Batch-apply quantile readout (labelled by q)",
-    ),
-    (
-        "peel_recovery_latency_ns",
-        "histogram",
-        "Per-recovery wall time, nanoseconds",
-    ),
-    (
-        "peel_recovery_latency_ns_quantile",
-        "gauge",
-        "Recovery-latency quantile readout (labelled by q)",
-    ),
-    (
-        "peel_connections_live",
-        "gauge",
-        "Client connections currently open on the server",
-    ),
-    (
-        "peel_connections_accepted_total",
-        "counter",
-        "Client connections accepted since start",
-    ),
-    (
-        "peel_connections_refused_total",
-        "counter",
-        "Connections refused at the connection cap",
-    ),
-    (
-        "peel_connections_idle_reaped_total",
-        "counter",
-        "Connections closed by the idle-timeout reaper",
-    ),
-    (
-        "peel_accept_errors_total",
-        "counter",
-        "Persistent accept() failures (EMFILE and friends) that triggered backoff",
-    ),
-];
+use crate::metrics::{
+    bucket_floor, HistogramSnapshot, MetricsSnapshot, Source, FAMILIES, REQUEST_CLASSES,
+};
 
 /// The quantiles rendered for each histogram's `_quantile` companion.
 const QUANTILES: &[(&str, f64)] = &[("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)];
 
-fn header(out: &mut String, name: &str) {
-    if let Some((_, ty, help)) = REGISTRY.iter().find(|(n, _, _)| *n == name) {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {ty}");
-    }
+fn header(out: &mut String, name: &str, ty: &str, help: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {ty}");
 }
 
-fn scalar(out: &mut String, name: &str, value: u64) {
-    header(out, name);
-    let _ = writeln!(out, "{name} {value}");
-}
-
-/// Render one histogram family: cumulative `_bucket{{le=…}}` lines,
-/// `_sum`, `_count`, and a `_quantile` companion gauge so a plain
-/// scrape shows latency percentiles without server-side math.
-fn histogram(out: &mut String, name: &str, labels: &str, h: &HistogramSnapshot) {
-    let sep = if labels.is_empty() { "" } else { "," };
-    header(out, name);
-    let mut cum = 0u64;
-    for &(i, c) in &h.buckets {
-        cum = cum.saturating_add(c);
-        let le = bucket_floor(i as usize + 1);
-        let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cum}");
-    }
-    let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}", h.count);
-    if labels.is_empty() {
-        let _ = writeln!(out, "{name}_sum {}", h.sum);
-        let _ = writeln!(out, "{name}_count {}", h.count);
-    } else {
-        let _ = writeln!(out, "{name}_sum{{{labels}}} {}", h.sum);
-        let _ = writeln!(out, "{name}_count{{{labels}}} {}", h.count);
+/// Render one histogram family: per series, cumulative `_bucket{{le=…}}`
+/// lines, `_sum` and `_count`; then a `_quantile` companion gauge so a
+/// plain scrape shows latency percentiles without server-side math.
+/// `series` pairs each histogram with its label set (empty when the
+/// family is unlabelled).
+fn histogram(
+    out: &mut String,
+    name: &str,
+    quantile_help: &str,
+    series: &[(String, &HistogramSnapshot)],
+) {
+    for (labels, h) in series {
+        let sep = if labels.is_empty() { "" } else { "," };
+        let mut cum = 0u64;
+        for &(i, c) in &h.buckets {
+            cum = cum.saturating_add(c);
+            let le = bucket_floor(i as usize + 1);
+            let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cum}");
+        }
+        let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}", h.count);
+        let braced = if labels.is_empty() {
+            String::new()
+        } else {
+            format!("{{{labels}}}")
+        };
+        let _ = writeln!(out, "{name}_sum{braced} {}", h.sum);
+        let _ = writeln!(out, "{name}_count{braced} {}", h.count);
     }
     let qname = format!("{name}_quantile");
-    header(out, &qname);
-    for (label, q) in QUANTILES {
-        let _ = writeln!(
-            out,
-            "{qname}{{{labels}{sep}q=\"{label}\"}} {}",
-            h.quantile(*q)
-        );
+    header(out, &qname, "gauge", quantile_help);
+    for (labels, h) in series {
+        let sep = if labels.is_empty() { "" } else { "," };
+        for (label, q) in QUANTILES {
+            let _ = writeln!(
+                out,
+                "{qname}{{{labels}{sep}q=\"{label}\"}} {}",
+                h.quantile(*q)
+            );
+        }
     }
 }
 
 /// Render the snapshot in Prometheus text exposition format.
 pub fn render(s: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(8192);
-    scalar(&mut out, "peel_batches_applied_total", s.batches_applied);
-    scalar(&mut out, "peel_ops_applied_total", s.ops_applied);
-    scalar(&mut out, "peel_queue_stalls_total", s.queue_stalls);
-    scalar(&mut out, "peel_recoveries_total", s.recoveries);
-    scalar(
-        &mut out,
-        "peel_recoveries_incomplete_total",
-        s.recoveries_incomplete,
-    );
-    scalar(
-        &mut out,
-        "peel_recovery_subrounds_total",
-        s.recovery_subrounds,
-    );
-    scalar(&mut out, "peel_recovery_ns_total", s.recovery_ns);
-
-    let c = &s.connections;
-    scalar(&mut out, "peel_connections_live", c.live);
-    scalar(&mut out, "peel_connections_accepted_total", c.accepted);
-    scalar(&mut out, "peel_connections_refused_total", c.refused);
-    scalar(
-        &mut out,
-        "peel_connections_idle_reaped_total",
-        c.idle_reaped,
-    );
-    scalar(&mut out, "peel_accept_errors_total", c.accept_errors);
-
-    for (name, pick) in [
-        ("peel_shard_epoch", 0usize),
-        ("peel_shard_inserts_total", 1),
-        ("peel_shard_deletes_total", 2),
-    ] {
-        header(&mut out, name);
-        for (i, sh) in s.shards.iter().enumerate() {
-            let v = match pick {
-                0 => sh.epoch,
-                1 => sh.inserts,
-                _ => sh.deletes,
-            };
-            let _ = writeln!(out, "{name}{{shard=\"{i}\"}} {v}");
+    for f in FAMILIES {
+        let name = f.name;
+        header(&mut out, name, f.kind.as_str(), f.help);
+        let label = f.label().unwrap_or_default();
+        match f.source {
+            Source::Scalar { get, .. } => {
+                let _ = writeln!(out, "{name} {}", get(s));
+            }
+            Source::Shard(get) => {
+                for (i, sh) in s.shards.iter().enumerate() {
+                    let _ = writeln!(out, "{name}{{{label}=\"{i}\"}} {}", get(sh));
+                }
+            }
+            Source::Follower(get) => {
+                for r in &s.replication.per_follower {
+                    let _ = writeln!(out, "{name}{{{label}=\"{}\"}} {}", r.id, get(r));
+                }
+            }
+            Source::Histogram {
+                series,
+                per_class,
+                quantile_help,
+                ..
+            } => {
+                let series: Vec<(String, &HistogramSnapshot)> = if per_class {
+                    REQUEST_CLASSES
+                        .iter()
+                        .zip(series(s))
+                        .map(|(c, h)| (format!("{label}=\"{c}\""), h))
+                        .collect()
+                } else {
+                    series(s).iter().map(|h| (String::new(), h)).collect()
+                };
+                histogram(&mut out, name, quantile_help, &series);
+            }
         }
     }
-
-    let r = &s.replication;
-    scalar(&mut out, "peel_replication_followers", r.followers);
-    scalar(&mut out, "peel_replication_epoch", r.epoch);
-    scalar(&mut out, "peel_replication_fenced_total", r.fenced);
-    scalar(&mut out, "peel_replica_leading", r.leading as u64);
-    scalar(&mut out, "peel_replica_read_lag_batches", r.read_lag);
-    scalar(&mut out, "peel_replication_published_seq", r.published_seq);
-    scalar(&mut out, "peel_replication_acked_min", r.acked_min);
-    scalar(&mut out, "peel_replication_max_lag", r.max_lag);
-    scalar(
-        &mut out,
-        "peel_replication_batches_streamed_total",
-        r.batches_streamed,
-    );
-    scalar(
-        &mut out,
-        "peel_replication_batches_dropped_total",
-        r.batches_dropped,
-    );
-    scalar(
-        &mut out,
-        "peel_replication_batches_applied_total",
-        r.batches_applied,
-    );
-    scalar(
-        &mut out,
-        "peel_replication_batches_skipped_total",
-        r.batches_skipped,
-    );
-    scalar(
-        &mut out,
-        "peel_replication_decode_errors_total",
-        r.decode_errors,
-    );
-    scalar(
-        &mut out,
-        "peel_replication_anti_entropy_rounds_total",
-        r.anti_entropy_rounds,
-    );
-    scalar(
-        &mut out,
-        "peel_replication_anti_entropy_keys_total",
-        r.anti_entropy_keys,
-    );
-    for (name, pick) in [
-        ("peel_replication_follower_published", 0usize),
-        ("peel_replication_follower_acked", 1),
-        ("peel_replication_follower_lag", 2),
-        ("peel_replication_follower_alive", 3),
-    ] {
-        header(&mut out, name);
-        for f in &r.per_follower {
-            let v = match pick {
-                0 => f.published,
-                1 => f.acked,
-                2 => f.lag,
-                _ => f.alive as u64,
-            };
-            let _ = writeln!(out, "{name}{{follower=\"{}\"}} {v}", f.id);
-        }
-    }
-    histogram(&mut out, "peel_replication_lag_batches", "", &r.lag);
-
-    let g = &s.reshard;
-    scalar(&mut out, "peel_reshard_generation", g.generation);
-    scalar(&mut out, "peel_reshard_active", g.resharding as u64);
-    scalar(
-        &mut out,
-        "peel_reshard_serving_shards",
-        g.serving_shards as u64,
-    );
-    scalar(&mut out, "peel_reshard_target_shards", g.to_shards as u64);
-    scalar(&mut out, "peel_reshard_keys_moved", g.keys_moved);
-    scalar(
-        &mut out,
-        "peel_reshard_shards_verified",
-        g.shards_verified as u64,
-    );
-    scalar(&mut out, "peel_reshards_completed_total", g.completed);
-    scalar(&mut out, "peel_reshards_aborted_total", g.aborted);
-
-    // Per-class request latency: one histogram family, class label.
-    // Emit the HELP/TYPE headers once, then every class's series.
-    header(&mut out, "peel_request_latency_ns");
-    let mut quantile_block = String::new();
-    header(&mut quantile_block, "peel_request_latency_ns_quantile");
-    for (class, h) in REQUEST_CLASSES.iter().zip(s.request_latency.iter()) {
-        let labels = format!("class=\"{class}\"");
-        let mut cum = 0u64;
-        for &(i, c) in &h.buckets {
-            cum = cum.saturating_add(c);
-            let le = bucket_floor(i as usize + 1);
-            let _ = writeln!(
-                out,
-                "peel_request_latency_ns_bucket{{{labels},le=\"{le}\"}} {cum}"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "peel_request_latency_ns_bucket{{{labels},le=\"+Inf\"}} {}",
-            h.count
-        );
-        let _ = writeln!(out, "peel_request_latency_ns_sum{{{labels}}} {}", h.sum);
-        let _ = writeln!(out, "peel_request_latency_ns_count{{{labels}}} {}", h.count);
-        for (label, q) in QUANTILES {
-            let _ = writeln!(
-                quantile_block,
-                "peel_request_latency_ns_quantile{{{labels},q=\"{label}\"}} {}",
-                h.quantile(*q)
-            );
-        }
-    }
-    out.push_str(&quantile_block);
-
-    histogram(&mut out, "peel_queue_wait_ns", "", &s.queue_wait);
-    histogram(&mut out, "peel_batch_apply_ns", "", &s.batch_apply);
-    histogram(
-        &mut out,
-        "peel_recovery_latency_ns",
-        "",
-        &s.recovery_latency,
-    );
     out
 }
 
@@ -539,11 +151,26 @@ mod tests {
     #[test]
     fn every_registry_family_is_rendered() {
         let body = render(&sample());
-        for (name, ty, _) in REGISTRY {
+        for f in FAMILIES {
+            let (name, ty) = (f.name, f.kind.as_str());
             assert!(
                 body.contains(&format!("# TYPE {name} {ty}")),
                 "missing TYPE line for {name}"
             );
+        }
+    }
+
+    /// Table-driven: every scalar row's value shows up as its sample
+    /// line, so a new row is covered with no edit here.
+    #[test]
+    fn every_scalar_row_renders_its_value() {
+        let s = crate::metrics::table_fixture();
+        let body = render(&s);
+        for f in FAMILIES {
+            if let Source::Scalar { get, .. } = f.source {
+                let line = format!("{} {}", f.name, get(&s));
+                assert!(body.lines().any(|l| l == line), "missing `{line}`");
+            }
         }
     }
 
@@ -563,11 +190,19 @@ mod tests {
     #[test]
     fn registry_names_are_unique_and_prefixed() {
         let mut seen = std::collections::HashSet::new();
-        for (name, ty, help) in REGISTRY {
-            assert!(seen.insert(name), "duplicate registry entry {name}");
+        for f in FAMILIES {
+            let name = f.name;
+            assert!(seen.insert(name.to_string()), "duplicate entry {name}");
             assert!(name.starts_with("peel_"), "{name} lacks the peel_ prefix");
-            assert!(!help.is_empty(), "{name} has an empty help string");
-            assert!(matches!(*ty, "counter" | "gauge" | "histogram"));
+            assert!(!f.help.is_empty(), "{name} has an empty help string");
+            if let Source::Histogram { quantile_help, .. } = f.source {
+                assert_eq!(f.kind, crate::metrics::Kind::Histogram);
+                assert!(!quantile_help.is_empty(), "{name} quantile help is empty");
+                assert!(
+                    seen.insert(format!("{name}_quantile")),
+                    "{name}_quantile clash"
+                );
+            }
         }
     }
 }

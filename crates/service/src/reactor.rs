@@ -86,7 +86,7 @@ const OUT_COMPACT_AT: usize = 64 * 1024;
 pub struct ReactorConfig {
     /// Live-connection cap. An accept past the cap is answered with a
     /// protocol `Error` frame and closed (counted in
-    /// `peel_connections_refused_total`).
+    /// `MetricsSnapshot::connections.refused`).
     pub max_connections: usize,
     /// Close connections with no traffic for this long (`None` turns
     /// the reaper off). Replication subscribers are exempt — an idle

@@ -154,7 +154,7 @@ impl Server {
     }
 
     /// Number of currently live client connections (the
-    /// `peel_connections_live` gauge).
+    /// `MetricsSnapshot::connections.live` gauge).
     pub fn live_connections(&self) -> usize {
         self.shared
             .service

@@ -1143,10 +1143,6 @@ impl PeelService {
     /// Point-in-time service metrics.
     pub fn metrics(&self) -> MetricsSnapshot {
         let inner = &self.inner;
-        inner
-            .metrics
-            .queue_stalls
-            .store(inner.queue.stalls(), Relaxed);
         let (shards, reshard) = {
             let g = inner.gens.read();
             let shards = g
@@ -1164,7 +1160,10 @@ impl PeelService {
         let mut repl = inner.hub.stats();
         repl.leading = self.is_leading();
         repl.read_lag = self.replica_lag();
-        inner.metrics.snapshot(shards, repl, reshard)
+        MetricsSnapshot {
+            queue_stalls: inner.queue.stalls(),
+            ..inner.metrics.snapshot(shards, repl, reshard)
+        }
     }
 
     /// Flush remaining ops, stop the workers, and join them. Idempotent.
@@ -1365,9 +1364,9 @@ mod tests {
         assert!(m.recovery_subrounds > 0);
         // Per-subround timing (ISSUE 4 satellite): the wall-time trace is
         // aligned with the key-count trace and sums into the total.
-        assert!(m.recovery_ns > 0);
+        assert!(m.recovery_latency.sum > 0);
         assert_eq!(m.last_recovery_trace_ns.len(), m.last_recovery_trace.len());
-        assert!(m.recovery_ns >= m.last_recovery_trace_ns.iter().sum::<u64>());
+        assert!(m.recovery_latency.sum >= m.last_recovery_trace_ns.iter().sum::<u64>());
     }
 
     #[test]

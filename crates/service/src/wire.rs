@@ -18,8 +18,8 @@ use std::io::{self, Read, Write};
 use peel_iblt::{Cell, Iblt, IbltConfig};
 
 use crate::metrics::{
-    ConnectionStats, FollowerStats, HistogramSnapshot, MetricsSnapshot, ReplicationStats,
-    ReshardStats, ShardStats, HISTOGRAM_BUCKETS, REQUEST_CLASSES,
+    family, FollowerStats, HistogramSnapshot, MetricsSnapshot, ReshardStats, ShardStats, Source,
+    FAMILIES, HISTOGRAM_BUCKETS,
 };
 use crate::queue::Op;
 use crate::recorder::FlightRecord;
@@ -51,7 +51,15 @@ pub const MAX_FRAME: usize = 16 << 20;
 /// idle-reaped counts and accept-error totals from the reactor server);
 /// the `Hello` layout is unchanged, and a v6 peer refuses a v7 `Stats`
 /// frame at the trailing-bytes check rather than at the handshake.
-pub const PROTOCOL_VERSION: u8 = 7;
+/// Revision 8 made `Stats` self-describing: scalars and histograms
+/// travel as entries named by their metric family (see `put_stats`), a
+/// decoder skips names it does not know and reads absent ones as 0, so
+/// adding a metric no longer bumps the protocol. The frame moved to a
+/// new tag, so v7 and v8 peers refuse each other's `Stats` with
+/// [`WireError::BadTag`]; the trace, shard and follower blocks keep
+/// their positional layout, and v8 dropped the `recovery_ns` total
+/// (the `recovery_latency` histogram's sum).
+pub const PROTOCOL_VERSION: u8 = 8;
 
 /// Everything that can go wrong encoding, decoding, or transporting a
 /// message.
@@ -498,6 +506,17 @@ impl<'a> Reader<'a> {
         (0..n).map(|_| self.u64()).collect()
     }
 
+    /// A metric entry name: borrowed, UTF-8, at most
+    /// [`MAX_METRIC_NAME`] bytes.
+    fn metric_name(&mut self) -> Result<&'a str, WireError> {
+        let n = self.u32()? as usize;
+        if n > MAX_METRIC_NAME {
+            return Err(WireError::BadLength(n as u64));
+        }
+        std::str::from_utf8(self.take(n)?)
+            .map_err(|_| WireError::Malformed("invalid UTF-8 in metric name".into()))
+    }
+
     fn string(&mut self) -> Result<String, WireError> {
         let n = self.len(1)?;
         let bytes = self.take(n)?;
@@ -700,7 +719,9 @@ const RESP_HELLO: u8 = 0x81;
 const RESP_OK: u8 = 0x82;
 const RESP_DIGEST: u8 = 0x83;
 const RESP_DIFF: u8 = 0x84;
-const RESP_STATS: u8 = 0x85;
+// 0x85 carried the positional `Stats` layout of v1–v7; retired so a
+// mismatched peer gets a clean `BadTag` instead of a mis-read.
+const RESP_STATS: u8 = 0x8f;
 const RESP_ERROR: u8 = 0x86;
 const RESP_REPLICATE: u8 = 0x87;
 const RESP_RESHARD: u8 = 0x88;
@@ -952,14 +973,36 @@ fn read_follower_rows(r: &mut Reader) -> Result<Vec<FollowerStats>, WireError> {
         .collect()
 }
 
+/// Longest metric entry name a `Stats` frame may carry.
+const MAX_METRIC_NAME: usize = 128;
+
+/// `Stats` wire form: the [`FAMILIES`] scalars as `(name, u64)`
+/// entries, its histograms as `(name, series)` entries, then the
+/// positional labelled blocks — recovery traces, per-shard rows,
+/// per-follower rows.
 fn put_stats(out: &mut Vec<u8>, s: &MetricsSnapshot) {
-    put_u64(out, s.batches_applied);
-    put_u64(out, s.ops_applied);
-    put_u64(out, s.queue_stalls);
-    put_u64(out, s.recoveries);
-    put_u64(out, s.recoveries_incomplete);
-    put_u64(out, s.recovery_subrounds);
-    put_u64(out, s.recovery_ns);
+    let mut scalars = Vec::new();
+    let mut histograms = Vec::new();
+    for f in FAMILIES {
+        match f.source {
+            Source::Scalar { get, .. } => scalars.push((f.name, get(s))),
+            Source::Histogram { series, .. } => histograms.push((f.name, series(s))),
+            Source::Shard(_) | Source::Follower(_) => {}
+        }
+    }
+    put_u32(out, scalars.len() as u32);
+    for (name, v) in scalars {
+        put_string(out, name);
+        put_u64(out, v);
+    }
+    put_u32(out, histograms.len() as u32);
+    for (name, series) in histograms {
+        put_string(out, name);
+        put_u32(out, series.len() as u32);
+        for h in series {
+            put_histogram(out, h);
+        }
+    }
     put_u64_vec(out, &s.last_recovery_trace);
     put_u64_vec(out, &s.last_recovery_trace_ns);
     put_u32(out, s.shards.len() as u32);
@@ -968,65 +1011,40 @@ fn put_stats(out: &mut Vec<u8>, s: &MetricsSnapshot) {
         put_u64(out, sh.inserts);
         put_u64(out, sh.deletes);
     }
-    let r = &s.replication;
-    for v in [
-        r.followers,
-        r.published_seq,
-        r.acked_min,
-        r.max_lag,
-        r.batches_streamed,
-        r.batches_dropped,
-        r.batches_applied,
-        r.batches_skipped,
-        r.decode_errors,
-        r.anti_entropy_rounds,
-        r.anti_entropy_keys,
-    ] {
-        put_u64(out, v);
-    }
-    put_reshard_stats(out, &s.reshard);
-    // Protocol v5 block: per-follower rows, the replication-lag
-    // distribution, and the latency histograms — appended after the v4
-    // layout so the frame grows strictly at the tail.
-    put_follower_rows(out, &r.per_follower);
-    put_histogram(out, &r.lag);
-    put_u32(out, s.request_latency.len() as u32);
-    for h in &s.request_latency {
-        put_histogram(out, h);
-    }
-    put_histogram(out, &s.queue_wait);
-    put_histogram(out, &s.batch_apply);
-    put_histogram(out, &s.recovery_latency);
-    // Protocol v6 tail: the replica-mesh block.
-    put_u64(out, r.epoch);
-    put_u64(out, r.fenced);
-    out.push(r.leading as u8);
-    put_u64(out, r.read_lag);
-    // Protocol v7 tail: the connection block.
-    let c = &s.connections;
-    for v in [
-        c.live,
-        c.accepted,
-        c.refused,
-        c.idle_reaped,
-        c.accept_errors,
-    ] {
-        put_u64(out, v);
-    }
+    put_follower_rows(out, &s.replication.per_follower);
 }
 
+/// Decode a `Stats` payload. Entries are looked up by name: unknown
+/// names (a newer peer's metrics) are skipped, absent ones stay 0, and a
+/// value that does not fit its field is malformed.
 fn read_stats(r: &mut Reader) -> Result<MetricsSnapshot, WireError> {
-    let batches_applied = r.u64()?;
-    let ops_applied = r.u64()?;
-    let queue_stalls = r.u64()?;
-    let recoveries = r.u64()?;
-    let recoveries_incomplete = r.u64()?;
-    let recovery_subrounds = r.u64()?;
-    let recovery_ns = r.u64()?;
-    let last_recovery_trace = r.u64_vec()?;
-    let last_recovery_trace_ns = r.u64_vec()?;
-    let n = r.len(24)?;
-    let shards = (0..n)
+    let mut s = MetricsSnapshot::default();
+    // ≥ 12 wire bytes per scalar entry: name length + value.
+    for _ in 0..r.len(12)? {
+        let name = r.metric_name()?;
+        let v = r.u64()?;
+        if let Some(Source::Scalar { set, .. }) = family(name).map(|f| f.source) {
+            if !set(&mut s, v) {
+                return Err(WireError::Malformed(format!("{name} = {v} out of range")));
+            }
+        }
+    }
+    // ≥ 8 wire bytes per histogram entry: name length + series count.
+    for _ in 0..r.len(8)? {
+        let name = r.metric_name()?;
+        let series = (0..r.len(20)?)
+            .map(|_| read_histogram(r))
+            .collect::<Result<Vec<_>, WireError>>()?;
+        if let Some(Source::Histogram { store, .. }) = family(name).map(|f| f.source) {
+            let n = series.len();
+            if !store(&mut s, series) {
+                return Err(WireError::Malformed(format!("{name}: {n} series")));
+            }
+        }
+    }
+    s.last_recovery_trace = r.u64_vec()?;
+    s.last_recovery_trace_ns = r.u64_vec()?;
+    s.shards = (0..r.len(24)?)
         .map(|_| {
             Ok(ShardStats {
                 epoch: r.u64()?,
@@ -1035,71 +1053,8 @@ fn read_stats(r: &mut Reader) -> Result<MetricsSnapshot, WireError> {
             })
         })
         .collect::<Result<Vec<_>, WireError>>()?;
-    let mut replication = ReplicationStats {
-        followers: r.u64()?,
-        published_seq: r.u64()?,
-        acked_min: r.u64()?,
-        max_lag: r.u64()?,
-        batches_streamed: r.u64()?,
-        batches_dropped: r.u64()?,
-        batches_applied: r.u64()?,
-        batches_skipped: r.u64()?,
-        decode_errors: r.u64()?,
-        anti_entropy_rounds: r.u64()?,
-        anti_entropy_keys: r.u64()?,
-        per_follower: Vec::new(),
-        lag: HistogramSnapshot::default(),
-        epoch: 0,
-        fenced: 0,
-        leading: false,
-        read_lag: 0,
-    };
-    let reshard = read_reshard_stats(r)?;
-    // Protocol v5 tail (see `put_stats`).
-    replication.per_follower = read_follower_rows(r)?;
-    replication.lag = read_histogram(r)?;
-    let n_classes = r.len(20)?;
-    if n_classes > REQUEST_CLASSES.len() {
-        return Err(WireError::BadLength(n_classes as u64));
-    }
-    let request_latency = (0..n_classes)
-        .map(|_| read_histogram(r))
-        .collect::<Result<Vec<_>, WireError>>()?;
-    let queue_wait = read_histogram(r)?;
-    let batch_apply = read_histogram(r)?;
-    let recovery_latency = read_histogram(r)?;
-    // Protocol v6 tail (see `put_stats`).
-    replication.epoch = r.u64()?;
-    replication.fenced = r.u64()?;
-    replication.leading = r.bool()?;
-    replication.read_lag = r.u64()?;
-    // Protocol v7 tail (see `put_stats`).
-    let connections = ConnectionStats {
-        live: r.u64()?,
-        accepted: r.u64()?,
-        refused: r.u64()?,
-        idle_reaped: r.u64()?,
-        accept_errors: r.u64()?,
-    };
-    Ok(MetricsSnapshot {
-        batches_applied,
-        ops_applied,
-        queue_stalls,
-        recoveries,
-        recoveries_incomplete,
-        recovery_subrounds,
-        recovery_ns,
-        last_recovery_trace,
-        last_recovery_trace_ns,
-        shards,
-        replication,
-        reshard,
-        request_latency,
-        queue_wait,
-        batch_apply,
-        recovery_latency,
-        connections,
-    })
+    s.replication.per_follower = read_follower_rows(r)?;
+    Ok(s)
 }
 
 fn put_flight_record(out: &mut Vec<u8>, rec: &FlightRecord) {
@@ -1611,7 +1566,8 @@ mod tests {
     /// v5 ↔ v6 `Hello` payloads refuse each other cleanly: the epoch
     /// sits at the tail, so the shorter (v5-shaped) payload truncates
     /// under a v6 decoder and the longer one leaves trailing bytes
-    /// under a v5-shaped expectation.
+    /// under a v5-shaped expectation. v7 ↔ v8 share the `Hello` layout
+    /// but not the `Stats` tag, so each refuses the other's `Stats`.
     #[test]
     fn hello_version_mismatch_refuses_cleanly() {
         let hello = Response::Hello(HelloInfo {
@@ -1640,6 +1596,154 @@ mod tests {
             decode_response(&v7ish),
             Err(WireError::TrailingBytes(8))
         ));
+        // A v7 `Stats` frame (positional layout under tag 0x85) is a
+        // BadTag here, and a v8 one does not carry the tag a v7 decoder
+        // would accept.
+        const V7_STATS: u8 = 0x85;
+        let mut v7_stats = vec![V7_STATS];
+        v7_stats.extend_from_slice(&[0u8; 256]);
+        assert!(matches!(
+            decode_response(&v7_stats),
+            Err(WireError::BadTag(V7_STATS))
+        ));
+        let v8_stats = encode_response(&Response::Stats(Box::default()));
+        assert_ne!(v8_stats.first(), Some(&V7_STATS));
+    }
+
+    /// Byte length of the scalar entry of `name` in a `Stats` frame.
+    fn entry_len(name: &str) -> usize {
+        4 + name.len() + 8
+    }
+
+    fn scalar_rows() -> impl Iterator<Item = &'static crate::metrics::Family> {
+        FAMILIES
+            .iter()
+            .filter(|f| matches!(f.source, Source::Scalar { .. }))
+    }
+
+    fn decode_stats(payload: &[u8]) -> Result<MetricsSnapshot, WireError> {
+        match decode_response(payload)? {
+            Response::Stats(s) => Ok(*s),
+            other => panic!("expected Stats, got {other:?}"),
+        }
+    }
+
+    /// Add `by` to the little-endian `u32` count at `at`.
+    fn bump_count(payload: &mut [u8], at: usize, by: i32) {
+        let n = u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
+        payload[at..at + 4].copy_from_slice(&n.wrapping_add_signed(by).to_le_bytes());
+    }
+
+    /// Table-driven: every row, scalar or histogram, survives the
+    /// `Stats` frame with its own value.
+    #[test]
+    fn every_table_row_roundtrips_through_stats() {
+        let s = crate::metrics::table_fixture();
+        let back = decode_stats(&encode_response(&Response::Stats(Box::new(s.clone())))).unwrap();
+        for f in FAMILIES {
+            match f.source {
+                Source::Scalar { get, .. } => assert_eq!(get(&back), get(&s), "{}", f.name),
+                Source::Histogram { series, .. } => {
+                    assert_eq!(series(&back), series(&s), "{}", f.name)
+                }
+                Source::Shard(_) | Source::Follower(_) => {}
+            }
+        }
+        assert_eq!(back, s);
+    }
+
+    /// Entries a newer peer adds — a scalar and a histogram this build
+    /// does not know — are skipped, not refused.
+    #[test]
+    fn unknown_stats_entries_are_skipped() {
+        let s = crate::metrics::table_fixture();
+        let mut payload = encode_response(&Response::Stats(Box::new(s.clone())));
+        let mut extra = Vec::new();
+        put_string(&mut extra, "peel_from_the_future_total");
+        put_u64(&mut extra, 77);
+        payload.splice(5..5, extra);
+        bump_count(&mut payload, 1, 1);
+        let hists_at = 5
+            + scalar_rows().map(|f| entry_len(f.name)).sum::<usize>()
+            + entry_len("peel_from_the_future_total");
+        let mut extra = Vec::new();
+        put_string(&mut extra, "peel_future_latency_ns");
+        put_u32(&mut extra, 2);
+        put_histogram(&mut extra, &s.queue_wait);
+        put_histogram(&mut extra, &HistogramSnapshot::default());
+        payload.splice(hists_at + 4..hists_at + 4, extra);
+        bump_count(&mut payload, hists_at, 1);
+        assert_eq!(decode_stats(&payload).unwrap(), s);
+    }
+
+    /// An entry an older peer never sent decodes as 0, and only that
+    /// field changes.
+    #[test]
+    fn missing_stats_entry_reads_as_zero() {
+        let s = crate::metrics::table_fixture();
+        let payload = encode_response(&Response::Stats(Box::new(s.clone())));
+        let mut at = 5;
+        for f in scalar_rows() {
+            let Source::Scalar { get, set } = f.source else {
+                unreachable!()
+            };
+            let mut cut = payload.clone();
+            cut.drain(at..at + entry_len(f.name));
+            bump_count(&mut cut, 1, -1);
+            let back = decode_stats(&cut).unwrap();
+            assert_eq!(get(&back), 0, "{}", f.name);
+            let mut want = s.clone();
+            assert!(set(&mut want, 0));
+            assert_eq!(back, want, "{}", f.name);
+            at += entry_len(f.name);
+        }
+    }
+
+    /// Hostile `Stats` frames error; none panics.
+    #[test]
+    fn hostile_stats_frames_error() {
+        let payload = encode_response(&Response::Stats(Box::new(crate::metrics::table_fixture())));
+        // More scalar entries announced than the bytes could hold.
+        let mut overcount = payload.clone();
+        overcount[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            decode_stats(&overcount),
+            Err(WireError::BadLength(_))
+        ));
+        // A name longer than any metric name may be.
+        let mut long = vec![RESP_STATS];
+        put_u32(&mut long, 1);
+        put_string(&mut long, &"x".repeat(MAX_METRIC_NAME + 1));
+        put_u64(&mut long, 0);
+        assert!(matches!(decode_stats(&long), Err(WireError::BadLength(_))));
+        // A value that does not fit its field (a bool row holding 2).
+        let mut wide = vec![RESP_STATS];
+        put_u32(&mut wide, 1);
+        put_string(&mut wide, "peel_replica_leading");
+        put_u64(&mut wide, 2);
+        assert!(matches!(decode_stats(&wide), Err(WireError::Malformed(_))));
+        // Histogram buckets out of order, and a single-series family
+        // sent two series.
+        let bad = HistogramSnapshot {
+            count: 2,
+            sum: 9,
+            buckets: vec![(5, 1), (3, 1)],
+        };
+        for (series, name) in [
+            (vec![bad], "peel_queue_wait_ns"),
+            (vec![HistogramSnapshot::default(); 2], "peel_queue_wait_ns"),
+        ] {
+            let mut frame = vec![RESP_STATS];
+            put_u32(&mut frame, 0);
+            put_u32(&mut frame, 1);
+            put_string(&mut frame, name);
+            put_u32(&mut frame, series.len() as u32);
+            for h in &series {
+                put_histogram(&mut frame, h);
+            }
+            frame.extend_from_slice(&[0u8; 16]);
+            assert!(matches!(decode_stats(&frame), Err(WireError::Malformed(_))));
+        }
     }
 
     #[test]

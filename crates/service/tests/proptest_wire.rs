@@ -6,8 +6,8 @@ use proptest::prelude::*;
 
 use peel_iblt::{Iblt, IbltConfig};
 use peel_service::metrics::{
-    ConnectionStats, FollowerStats, HistogramSnapshot, MetricsSnapshot, ReplicationStats,
-    ReshardStats, ShardStats, HISTOGRAM_BUCKETS, REQUEST_CLASSES,
+    FollowerStats, HistogramSnapshot, MetricsSnapshot, ReshardStats, ShardStats, Source, FAMILIES,
+    HISTOGRAM_BUCKETS, REQUEST_CLASSES,
 };
 use peel_service::queue::Op;
 use peel_service::recorder::FlightRecord;
@@ -193,102 +193,60 @@ fn arb_flight_records() -> impl Strategy<Value = Vec<FlightRecord>> {
     )
 }
 
-fn arb_replication() -> impl Strategy<Value = ReplicationStats> {
-    (
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<bool>(), any::<u64>()),
-        arb_follower_rows(),
-        arb_histogram(),
-    )
-        .prop_map(|(a, b, c, d, per_follower, lag)| ReplicationStats {
-            followers: a.0,
-            published_seq: a.1,
-            acked_min: a.2,
-            max_lag: a.3,
-            batches_streamed: b.0,
-            batches_dropped: b.1,
-            batches_applied: b.2,
-            batches_skipped: b.3,
-            decode_errors: c.0,
-            anti_entropy_rounds: c.1,
-            anti_entropy_keys: c.2,
-            epoch: d.0,
-            fenced: d.1,
-            leading: d.2,
-            read_lag: d.3,
-            per_follower,
-            lag,
-        })
-}
-
-fn arb_connection_stats() -> impl Strategy<Value = ConnectionStats> {
-    (
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-    )
-        .prop_map(
-            |(live, accepted, refused, idle_reaped, accept_errors)| ConnectionStats {
-                live,
-                accepted,
-                refused,
-                idle_reaped,
-                accept_errors,
-            },
-        )
-}
-
+/// A `Stats` snapshot: every scalar row of the metric table set through
+/// its own `set` (so a new row is covered with no edit here), plus
+/// random histograms, recovery traces, shard rows and follower rows.
 fn arb_stats() -> impl Strategy<Value = MetricsSnapshot> {
+    let scalars = FAMILIES
+        .iter()
+        .filter(|f| matches!(f.source, Source::Scalar { .. }))
+        .count();
     (
-        (any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        proptest::collection::vec(any::<u64>(), 0..32),
-        proptest::collection::vec(any::<u64>(), 0..32),
-        proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..16),
+        proptest::collection::vec(any::<u64>(), scalars),
         (
-            (arb_replication(), arb_reshard_stats()),
+            proptest::collection::vec(any::<u64>(), 0..32),
+            proptest::collection::vec(any::<u64>(), 0..32),
+            proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..16),
+            arb_follower_rows(),
+        ),
+        (
+            arb_histogram(),
             proptest::collection::vec(arb_histogram(), 0..REQUEST_CLASSES.len() + 1),
             arb_histogram(),
             arb_histogram(),
             arb_histogram(),
-            arb_connection_stats(),
         ),
     )
-        .prop_map(
-            |(a, b, trace, trace_ns, shards, ((replication, reshard), hv, h1, h2, h3, conns))| {
-                let hists = (hv, h1, h2, h3);
-                MetricsSnapshot {
-                    batches_applied: a.0,
-                    ops_applied: a.1,
-                    queue_stalls: a.2,
-                    recoveries: b.0,
-                    recoveries_incomplete: b.1,
-                    recovery_subrounds: b.2,
-                    recovery_ns: b.3,
-                    last_recovery_trace: trace,
-                    last_recovery_trace_ns: trace_ns,
-                    shards: shards
-                        .into_iter()
-                        .map(|(epoch, inserts, deletes)| ShardStats {
-                            epoch,
-                            inserts,
-                            deletes,
-                        })
-                        .collect(),
-                    replication,
-                    reshard,
-                    request_latency: hists.0,
-                    queue_wait: hists.1,
-                    batch_apply: hists.2,
-                    recovery_latency: hists.3,
-                    connections: conns,
-                }
-            },
-        )
+        .prop_map(|(values, (trace, trace_ns, shards, per_follower), hists)| {
+            let mut s = MetricsSnapshot {
+                last_recovery_trace: trace,
+                last_recovery_trace_ns: trace_ns,
+                shards: shards
+                    .into_iter()
+                    .map(|(epoch, inserts, deletes)| ShardStats {
+                        epoch,
+                        inserts,
+                        deletes,
+                    })
+                    .collect(),
+                request_latency: hists.1,
+                queue_wait: hists.2,
+                batch_apply: hists.3,
+                recovery_latency: hists.4,
+                ..MetricsSnapshot::default()
+            };
+            s.replication.lag = hists.0;
+            s.replication.per_follower = per_follower;
+            let setters = FAMILIES.iter().filter_map(|f| match f.source {
+                Source::Scalar { set, .. } => Some(set),
+                _ => None,
+            });
+            for (set, v) in setters.zip(values) {
+                // Narrow to whatever the field holds: u64, u32 or bool.
+                assert!(set(&mut s, v) || set(&mut s, v & u32::MAX as u64) || set(&mut s, v & 1));
+            }
+            s
+        })
 }
 
 fn arb_response() -> impl Strategy<Value = Response> {

@@ -5,6 +5,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use peel_iblt::{Iblt, IbltConfig};
+use peel_service::wire::PROTOCOL_VERSION;
 use peel_service::{
     Client, Follower, FollowerConfig, PeelService, Server, ServiceConfig, WireError,
 };
@@ -229,17 +230,16 @@ fn reshard_round_trips_over_tcp() {
 /// send (`Hello`/`Insert`/`Delete`/`Flush`/`Digest`/`Reconcile`/
 /// `Shutdown` and the replication stream) is byte-identical in v5 and
 /// must work unchanged. `Stats` is the deliberate exception — its
-/// payload grows with the server's revision (v3 itself appended the
-/// recovery-timing fields, v5 the histogram tail), so a
-/// version-mismatched `Stats` decodes to a clean `TrailingBytes` error,
-/// never corruption.
+/// payload grew with each revision up to v7 and moved to a named-entry
+/// frame under a new tag in v8, so a version-mismatched `Stats` decodes
+/// to a clean `TrailingBytes` or `BadTag` error, never corruption.
 #[test]
 fn v3_client_against_v4_server_degrades_gracefully() {
     let server = Server::bind("127.0.0.1:0", test_cfg()).unwrap();
     let mut c = Client::connect(server.local_addr()).unwrap();
-    // The server advertises v7; a v3 client ignores the higher number
-    // and keeps to its own frame surface.
-    assert_eq!(c.hello().unwrap().version, 7);
+    // The server advertises its own, higher version; a v3 client
+    // ignores it and keeps to its own frame surface.
+    assert_eq!(c.hello().unwrap().version, PROTOCOL_VERSION);
     let keys: Vec<u64> = (0..300u64).map(|i| i * 13).collect();
     assert_eq!(c.insert(&keys).unwrap(), 300);
     c.flush().unwrap();

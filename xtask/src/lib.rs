@@ -4,7 +4,7 @@
 //! type system cannot see (a justification comment next to a memory
 //! ordering, a module boundary for `std::sync` locks, a panic-free zone
 //! in the wire decoder), and they must keep working on any tree state —
-//! including one that does not compile. Six passes:
+//! including one that does not compile. Five passes:
 //!
 //! 1. **Ordering justification** ([`check_ordering_justified`]): every
 //!    non-comment occurrence of `Ordering::` must carry a `// ordering:`
@@ -32,13 +32,6 @@
 //!    `<!-- orderings:begin -->` / `<!-- orderings:end -->` markers)
 //!    must match the tree; regenerate with
 //!    `cargo xtask lint --write-orderings`.
-//! 6. **Metrics registry** ([`check_metrics_registry`]): every metric
-//!    family declared in `crates/service/src/prom.rs`'s `REGISTRY` must
-//!    have a non-empty help string and a documentation row in
-//!    README.md's metrics table (between the `<!-- metrics:begin -->` /
-//!    `<!-- metrics:end -->` markers), and the table must not document
-//!    metrics the registry no longer exports — an exported family
-//!    cannot ship undocumented, and docs cannot go stale silently.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -553,121 +546,6 @@ pub fn write_readme_orderings(root: &Path) -> std::io::Result<()> {
     std::fs::write(&readme, new)
 }
 
-/// Path of the metrics registry the sixth pass parses.
-const PROM_REL: &str = "crates/service/src/prom.rs";
-const METRICS_BEGIN: &str = "<!-- metrics:begin -->";
-const METRICS_END: &str = "<!-- metrics:end -->";
-
-/// The `(name, type, help)` entries of `REGISTRY` in `prom.rs`, parsed
-/// textually: every string literal between the declaration and its
-/// closing `];`, chunked into triples (robust to rustfmt's line
-/// splitting, by the module's "plain string-literal tuples only"
-/// convention). `None` when the tree has no registry.
-pub fn registry_entries(root: &Path) -> Option<Vec<(String, String, String)>> {
-    let text = std::fs::read_to_string(root.join(PROM_REL)).ok()?;
-    let start = text.find("pub const REGISTRY")?;
-    let body = &text[start..start + text[start..].find("];")?];
-    let mut strings = Vec::new();
-    let mut rest = body;
-    while let Some(open) = rest.find('"') {
-        let after = &rest[open + 1..];
-        let close = after.find('"')?;
-        strings.push(after[..close].to_string());
-        rest = &after[close + 1..];
-    }
-    Some(
-        strings
-            .chunks_exact(3)
-            .map(|c| (c[0].clone(), c[1].clone(), c[2].clone()))
-            .collect(),
-    )
-}
-
-/// The metric names documented in README's metrics table: the first
-/// backtick-quoted token of each `|`-delimited row between the markers.
-fn readme_metric_rows(text: &str) -> Option<Vec<String>> {
-    let b = text.find(METRICS_BEGIN)?;
-    let e = text.find(METRICS_END)?;
-    let mut out = Vec::new();
-    for line in text[b..e].lines() {
-        let t = line.trim();
-        if !t.starts_with('|') {
-            continue;
-        }
-        let Some(cell) = t.trim_start_matches('|').split('|').next() else {
-            continue;
-        };
-        let cell = cell.trim();
-        if let Some(name) = cell.strip_prefix('`').and_then(|c| c.strip_suffix('`')) {
-            out.push(name.to_string());
-        }
-    }
-    Some(out)
-}
-
-/// Pass 6: the prom.rs metric registry and README's metrics table agree
-/// — every exported family is documented with a help string, and no
-/// documented family has been dropped from the registry.
-pub fn check_metrics_registry(root: &Path) -> Vec<Violation> {
-    let Some(entries) = registry_entries(root) else {
-        // No registry, nothing to check (pre-observability trees and
-        // the seeded fixtures without a prom.rs).
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for (name, ty, help) in &entries {
-        if help.trim().is_empty() {
-            out.push(Violation {
-                file: PROM_REL.into(),
-                line: 0,
-                message: format!("metric {name} has an empty help string"),
-            });
-        }
-        if !matches!(ty.as_str(), "counter" | "gauge" | "histogram") {
-            out.push(Violation {
-                file: PROM_REL.into(),
-                line: 0,
-                message: format!("metric {name} has unknown type `{ty}`"),
-            });
-        }
-    }
-    let Ok(readme) = std::fs::read_to_string(root.join("README.md")) else {
-        out.push(Violation {
-            file: "README.md".into(),
-            line: 0,
-            message: "README.md not found (metrics table required)".into(),
-        });
-        return out;
-    };
-    let Some(rows) = readme_metric_rows(&readme) else {
-        out.push(Violation {
-            file: "README.md".into(),
-            line: 0,
-            message: format!("missing {METRICS_BEGIN} / {METRICS_END} markers"),
-        });
-        return out;
-    };
-    for (name, _, _) in &entries {
-        if !rows.iter().any(|r| r == name) {
-            out.push(Violation {
-                file: "README.md".into(),
-                line: 0,
-                message: format!("exported metric {name} is missing from the README metrics table"),
-            });
-        }
-    }
-    for row in &rows {
-        if !entries.iter().any(|(n, _, _)| n == row) {
-            out.push(Violation {
-                file: "README.md".into(),
-                line: 0,
-                message: format!("README metrics table documents {row}, which is not exported"),
-            });
-        }
-    }
-    out
-}
-
 /// Run every pass; the full violation list, stably ordered.
 pub fn lint_all(root: &Path) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -676,6 +554,5 @@ pub fn lint_all(root: &Path) -> Vec<Violation> {
     out.extend(check_panic_free_zone(root));
     out.extend(check_enum_coverage(root));
     out.extend(check_readme_orderings(root));
-    out.extend(check_metrics_registry(root));
     out
 }

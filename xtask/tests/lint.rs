@@ -82,32 +82,6 @@ fn seeded_enum_coverage_violations_are_caught() {
 }
 
 #[test]
-fn seeded_metrics_registry_violation_is_caught() {
-    let v = xtask::check_metrics_registry(&fixture_root());
-    assert_eq!(v.len(), 1, "exactly the undocumented metric, got {v:?}");
-    assert!(v[0].file.ends_with("README.md"));
-    assert!(
-        v[0].message.contains("peel_fixture_undocumented_total"),
-        "got {v:?}"
-    );
-}
-
-#[test]
-fn merged_metrics_registry_is_parsed_and_nonempty() {
-    // The real registry must parse (the pass silently no-ops when the
-    // file is absent, so an accidentally unparseable REGISTRY would
-    // otherwise disable the check) — prove it sees the histograms.
-    let entries = xtask::registry_entries(&repo_root()).expect("prom.rs registry must parse");
-    assert!(entries.len() >= 30, "suspiciously small registry");
-    assert!(entries
-        .iter()
-        .any(|(n, t, _)| n == "peel_request_latency_ns" && t == "histogram"));
-    assert!(entries
-        .iter()
-        .any(|(n, t, _)| n == "peel_replication_lag_batches" && t == "histogram"));
-}
-
-#[test]
 fn orderings_table_lists_every_site_with_its_justification() {
     let table = xtask::orderings_table(&repo_root());
     // Spot checks: the audited server downgrade and the bitset module.
