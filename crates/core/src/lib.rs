@@ -17,13 +17,14 @@
 //! |---|---|---|---|
 //! | Greedy sequential | [`sequential::peel_greedy`] | — (no rounds) | classic queue peeler, `O(n + rm)` total; the serial baseline |
 //! | Serial round-synchronous | [`sequential::peel_rounds_serial`] | `O(frontier)` | same semantics as the parallel engines, useful for cross-validation and cheap trials |
-//! | Parallel dense | [`parallel::peel_parallel`] with [`Strategy::Dense`] | `O(n + m)` scan | GPU-style: one task per vertex and per edge every round; deterministic |
-//! | Parallel frontier | [`parallel::peel_parallel`] with [`Strategy::Frontier`] | `O(frontier + touched edges)` | work-efficient CPU variant; identical rounds, nondeterministic claim winners |
+//! | Parallel dense | [`parallel::peel_parallel`] with [`Strategy::Dense`] | `O(m)` scan | GPU-style: one task per edge every round |
+//! | Parallel frontier | [`parallel::peel_parallel`] with [`Strategy::Frontier`] | `O(frontier + touched edges)` | work-efficient CPU variant; identical rounds and claims |
 //! | Parallel adaptive | [`parallel::peel_parallel`] with [`Strategy::Adaptive`] (default) | min of the above | direction-optimizing: dense edge scan while the frontier is broad, frontier propagation once it collapses |
 //! | Subtable / subround | [`subtable::peel_subtables`] | `O(part + touched)` | Appendix B's variant: `r` subrounds per round, one subtable each — the IBLT discipline that avoids double-peeling |
 //!
 //! The parallel engines run out of a reusable [`workspace::PeelWorkspace`]
-//! (degrees, rounds, kill metadata, bitsets, frontier buffers): call
+//! (degrees, rounds, kill metadata, bitsets, frontier and decrement
+//! buffers): call
 //! [`parallel::peel_parallel_in`] with your own workspace and repeated
 //! peels are allocation-free in steady state — the hot-path contract the
 //! `peel-service` reconcile scheduler and the benches rely on.

@@ -3,86 +3,95 @@
 //!
 //! All strategies implement the same synchronous semantics — a vertex is
 //! peeled in round `t` iff it is alive with degree `< k` at the start of
-//! round `t` — so they produce identical round counts, per-round peel
-//! counts, and survivor series; they differ only in how much work each
-//! round performs:
+//! round `t` — and the same claim rule — a dead edge is claimed by its
+//! smallest-id endpoint peeled in the edge's kill round. They therefore
+//! produce identical round counts, per-vertex peel rounds, per-edge kill
+//! rounds and killers, whatever the worker count; they differ only in how
+//! much work each round performs:
 //!
 //! * [`Strategy::Dense`] mirrors the paper's GPU implementation: every round
-//!   launches one task per vertex (to test the peel condition) and one task
-//!   per edge (to test removal). Total work `O((n+m)·rounds)`, perfectly
-//!   regular, fully deterministic (each edge is examined by exactly one task
-//!   per round, and the recorded claim is the smallest-index peeled
-//!   endpoint).
+//!   launches one task per edge to test removal. Total work
+//!   `O(n + m·rounds)`, perfectly regular.
 //! * [`Strategy::Frontier`] is the work-efficient CPU variant: each round
 //!   touches only the frontier and its incident edges, for `O(n + rm)`
-//!   total work across all rounds. Edge removal races are resolved with an
-//!   atomic test-and-clear per edge, so claim winners (but nothing else)
-//!   are scheduling-dependent.
+//!   total work across all rounds.
 //! * [`Strategy::Adaptive`] (the default) switches per round between the two
 //!   kill phases, Beamer-style direction optimization: early rounds with a
-//!   broad frontier take the dense edge scan (sequential memory traffic, no
-//!   claim contention); as the frontier collapses — and below the threshold
-//!   it collapses doubly exponentially — rounds switch to frontier
-//!   propagation and stop paying the full-table scan. See
-//!   [`ADAPTIVE_DENSE_ALPHA`] for the switch rule.
+//!   broad frontier take the dense edge scan (sequential memory traffic);
+//!   as the frontier collapses — and below the threshold it collapses
+//!   doubly exponentially — rounds switch to frontier propagation and stop
+//!   paying the full-table scan. See [`ADAPTIVE_DENSE_ALPHA`] for the
+//!   switch rule.
 //!
-//! Every engine runs out of a [`PeelWorkspace`]: degrees, peel rounds, kill
-//! metadata, the alive/peeled/queued bitsets, the frontier, striped
-//! per-thread collection buffers, and striped decrement counters are
-//! allocated once and reused across runs ([`peel_parallel_in`]); the next
-//! frontier is gathered into the striped buffers and merged by offset
-//! instead of the old `fold(Vec::new)` / `reduce(append)` churn.
+//! ## One round: mark, kill, apply
+//!
+//! Only round 1 finds its frontier by scanning every vertex. Each round
+//! then runs three phases separated by fork-join barriers:
+//!
+//! 1. **Mark.** The frontier's `peeled` bits and peel rounds are set.
+//! 2. **Kill.** Every live edge with a peeled endpoint dies, found by the
+//!    dense edge scan or the frontier walk. Every peeled endpoint of a
+//!    live edge was peeled this round (an earlier peel would have killed
+//!    it), and the smallest-id one claims it: plain loads of the bitset
+//!    decide the claim, so exactly one task kills each edge, with no race.
+//!    The claimer appends each endpoint that is not peeled to its task's
+//!    [`Buckets`] slot, in the bin of its vertex block (`w >> block_shift`).
+//! 3. **Apply.** Each task owns whole vertex blocks, each an L2-sized
+//!    slice of the degree array. It drains their bins, applies the
+//!    decrements with plain load and store, and emits exactly the vertices
+//!    whose degree passes from `k` to `k − 1`: the next frontier, grouped
+//!    by block. The crossing is unique per vertex, because an unpeeled
+//!    vertex starts each round at degree ≥ k and peeled endpoints are
+//!    never decremented.
+//!
+//! Every buffer lives in a [`PeelWorkspace`] and is reused across runs
+//! ([`peel_parallel_in`]).
 //!
 //! ## Cache-conscious data path
 //!
-//! Both kill phases are laid out so the hot loops stream memory instead of
-//! chasing it:
-//!
-//! * the dense phase walks the flat endpoint table sequentially, tests
+//! * The dense kill walks the flat endpoint table sequentially and tests
 //!   peeled-ness in the packed `peeled` bitset (one cache line covers 512
-//!   vertices), and *batches* degree decrements into per-task
-//!   [`StripedCounters`] stripes (plain load+store on thread-private
-//!   lines) — one post-barrier merge per round applies the summed deltas
-//!   and detects every threshold crossing exactly, replacing two atomic
-//!   RMWs per endpoint (`fetch_sub` + `queued` test-and-set) with none;
-//! * the frontier phase reads each vertex's CSR *adjacency run*
+//!   vertices).
+//! * The frontier kill reads each vertex's CSR *adjacency run*
 //!   ([`Hypergraph::adjacency`]) — edge id and other endpoints inlined in
-//!   one contiguous region — instead of bouncing between the incidence
-//!   and endpoint tables, and batches the vertex's own decrements into a
-//!   single `fetch_sub`;
-//! * both phases issue software prefetches (`peel-graph`'s
-//!   [`peel_graph::prefetch`]) a few iterations ahead for the
-//!   data-dependent reads the hardware prefetcher cannot predict.
+//!   one contiguous region.
+//! * Neither kill direction touches the degree array. Decrements stream
+//!   into a few bins per task, and the apply phase's random updates stay
+//!   inside one block, in L2, where a per-endpoint atomic decrement would
+//!   miss the whole array and serialise the misses around it.
+//! * Every phase issues software prefetches ([`peel_graph::prefetch`]) a
+//!   few iterations ahead for its data-dependent reads.
 //!
 //! ## Memory-ordering argument
 //!
-//! All atomics use `Relaxed` ordering. Correctness does not rest on
-//! intra-round ordering: within a phase each location has either a single
-//! logical writer (`peel_round[v]` is written only by the task that owns
-//! frontier entry `v`; a dead edge's metadata is written only by the task
-//! that won its kill; a decrement stripe is written only by the task that
-//! owns it, and a merged vertex block only by its merge task) or
-//! commutative RMWs (`fetch_sub` on degrees, `fetch_or`/`fetch_and` on the
-//! bitset words). The bitsets pack 64 flags per atomic word, so two tasks
-//! claiming *different* edges may now RMW the *same* word — that is still
-//! a commutative update of disjoint bits, and the winner of any single bit
-//! is decided by the one `fetch_and` that observed it set, exactly as the
-//! old per-edge `AtomicBool::swap` did. Cross-phase visibility is provided
-//! by rayon's fork-join barriers: every `par_iter` completes (with
-//! synchronizes-with edges to the caller) before the next phase starts —
-//! in particular the dense kill barrier orders every stripe write before
-//! the merge that reads it (the protocol checked by the striped-counter
-//! loom model in `peel-graph`).
+//! All atomics use `Relaxed` ordering. Within a phase every written
+//! location has one owner, or takes a commutative RMW:
+//!
+//! * `peel_round[v]`: the mark task holding frontier entry `v`;
+//! * a killed edge's `edge_kill_round` and `edge_killer`: its claimer,
+//!   unique by the claim rule;
+//! * `deg[w]`, read and written with plain load and store: the apply task
+//!   owning `w`'s block;
+//! * the `peeled` and `edge_alive` words (64 flags each): commuting
+//!   `fetch_or`/`fetch_and` on disjoint bits. A kill task may read an
+//!   `edge_alive` bit while its claimer clears it, but only the claimer
+//!   acts on that bit.
+//!
+//! Cross-phase visibility comes from rayon's fork-join barriers: each
+//! phase completes (with synchronizes-with edges to the caller) before the
+//! next starts. The kill barrier thus orders every bucket push before the
+//! apply drain that reads it, the protocol the bucket loom model in
+//! `peel-graph` checks.
 
 use rayon::prelude::*;
-// ordering: Relaxed throughout — writes are idempotent claims (every
-// racer stores the same round number), single-winner bitset RMWs, or
-// commutative degree updates, and rounds are separated by rayon
-// fork-join barriers that carry the cross-round happens-before (see the
-// module docs above for the full argument).
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+// ordering: Relaxed throughout — within a phase every written location has
+// one owner (a killed edge's metadata its claimer, a block's degrees its
+// apply task) or takes a commutative bitset RMW on disjoint bits, and rayon
+// fork-join barriers between phases carry the happens-before (module docs).
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
-use peel_graph::bits::{AtomicBitset, Striped, StripedCounters};
+use peel_graph::bits::{AtomicBitset, BucketWriter, Buckets, Striped};
+use peel_graph::prefetch::prefetch_index;
 use peel_graph::Hypergraph;
 
 use crate::trace::{PeelOutcome, RoundStats};
@@ -91,7 +100,9 @@ use crate::workspace::{PeelRun, PeelWorkspace};
 /// Work-distribution strategy for [`peel_parallel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Strategy {
-    /// GPU-style full scan of vertices and edges each round; deterministic.
+    /// GPU-style scan of every edge each round. Like every strategy, it
+    /// takes its next frontier from the apply phase; only round 1 scans
+    /// the vertices.
     Dense,
     /// Work-efficient frontier propagation.
     Frontier,
@@ -109,17 +120,18 @@ pub enum Strategy {
 /// division-free integer test in [`adaptive_picks_dense`]. Larger α holds
 /// the dense direction longer.
 ///
-/// Fitted against the CSR/striped-counter engine by sweeping α ∈ {2..48}
-/// over `Gnm(n, c, 4)` for n ∈ {10⁵, 4×10⁵}, c ∈ {0.70, 0.85}: the CSR
-/// rewrite cheapened *both* directions, but the frontier walk gained
-/// more — sequential adjacency runs replaced its per-edge pointer
-/// chasing, while the dense scan still pays the full `m`-edge sweep plus
-/// the striped-counter merge every round — so the crossover moved
-/// *down*, from the old fit's 8 to ≈ 4. The α = 8 fit held the dense
-/// direction too long and lost to serial at n = 4×10⁵, c = 0.70. After
+/// Fitted by sweeping α ∈ {2..48} over `Gnm(n, c, 4)` for n ∈ {10⁵,
+/// 4×10⁵}, c ∈ {0.70, 0.85} on the CSR engine with per-thread degree
+/// counters: cheaper adjacency runs helped the frontier walk more than
+/// the dense sweep, moving the crossover from 8 down to ≈ 4.
+///
+/// Deliberately not re-fitted for the owner-computes kill rounds, which
+/// took the per-endpoint atomics out of both directions alike, so the
+/// pins in `tests/adaptive_modes.rs` stand. The traced `peel-below` run
+/// of that change (2 cores, T = 2) read `core.dense_tmax_ms` 137,
+/// `core.frontier_tmax_ms` 143 and `core.adaptive_tmax_ms` 136. After
 /// any change to the kill phases' per-edge costs, re-check the fit
-/// against the `core.adaptive_*` and `core.frontier_*` rows of the
-/// traced `peel-below` / `peel-above` benchmark runs.
+/// against those rows of the traced `peel-below` / `peel-above` runs.
 pub const ADAPTIVE_DENSE_ALPHA: u64 = 4;
 
 /// The per-round direction decision of [`Strategy::Adaptive`]:
@@ -201,12 +213,11 @@ pub fn peel_parallel_in(
         edge_kill_round,
         edge_killer,
         edge_alive,
-        queued,
         frontier,
         stripes,
-        dec,
+        decrements,
+        block_shift,
         trace,
-        ..
     } = ws;
 
     // Round-1 frontier: dense vertex scan (all strategies start here; no
@@ -224,7 +235,11 @@ pub fn peel_parallel_in(
         // the kill phase observes a consistent "peeled this round"
         // predicate). The packed `peeled` bit is what the kill phases
         // test; `peel_round` carries the round number for the outputs.
-        frontier.par_iter().for_each(|&v| {
+        let marks = &*frontier;
+        marks.par_iter().enumerate().for_each(|(i, &v)| {
+            if let Some(&ahead) = marks.get(i + INDEX_PREFETCH_AHEAD) {
+                prefetch_index(peel_round, ahead as usize);
+            }
             peel_round[v as usize].store(round, Relaxed);
             peeled.set(v as usize);
         });
@@ -245,40 +260,23 @@ pub fn peel_parallel_in(
                 ADAPTIVE_DENSE_ALPHA,
             ),
         };
-        // Pure Dense rediscovers each frontier by vertex scan (that full
-        // rescan is its documented work profile); the other strategies
-        // collect crossing vertices during the kill phase.
-        let collect_next = opts.strategy != Strategy::Dense;
 
-        // Phase 2: kill edges incident to the frontier.
+        // Phase 2: kill the edges incident to the frontier, binning the
+        // degree decrements by vertex block.
+        let kill = KillPhase {
+            g,
+            round,
+            peeled,
+            edge_alive,
+            edge_kill_round,
+            edge_killer,
+            decrements,
+            block_shift: *block_shift,
+        };
         let killed = if dense {
-            kill_dense(
-                g,
-                k,
-                round,
-                deg,
-                peeled,
-                edge_kill_round,
-                edge_killer,
-                edge_alive,
-                dec,
-                stripes,
-                collect_next,
-            )
+            kill.dense()
         } else {
-            kill_frontier(
-                g,
-                k,
-                round,
-                frontier,
-                deg,
-                peeled,
-                edge_kill_round,
-                edge_killer,
-                edge_alive,
-                queued,
-                stripes,
-            )
+            kill.frontier(frontier)
         };
 
         unpeeled -= frontier.len() as u64;
@@ -309,16 +307,11 @@ pub fn peel_parallel_in(
             });
         }
 
-        // Phase 3: assemble the next frontier (skipped when max_rounds
-        // truncates the run here).
+        // Phase 3: apply the decrements block by block; the vertices they
+        // carry below the threshold are the next frontier.
         frontier.clear();
-        if round < opts.max_rounds {
-            if collect_next {
-                stripes.drain_into(frontier);
-            } else {
-                collect_frontier_scan(g, k, deg, peeled, stripes, frontier);
-            }
-        }
+        let decrements_in_flight = killed as usize * g.arity();
+        apply_decrements(k, deg, decrements, decrements_in_flight, stripes, frontier);
     }
 
     PeelRun {
@@ -336,6 +329,25 @@ const DENSE_PREFETCH_AHEAD: usize = 8;
 /// How many frontier entries ahead the frontier kill phase prefetches the
 /// adjacency run (the per-vertex region all its reads come from).
 const FRONTIER_PREFETCH_AHEAD: usize = 4;
+
+/// How many entries ahead the mark and apply phases, which walk a vertex
+/// list and update one word per vertex, prefetch that word.
+const INDEX_PREFETCH_AHEAD: usize = 16;
+
+/// Below this much work (edges, frontier vertices or decrements) a phase
+/// runs as one inline task, because starting workers would cost more than
+/// the work. It matches the rayon shim's own inline cut-off.
+const PAR_MIN_WORK: usize = 2048;
+
+/// Number of tasks a phase with `work` items splits into: one per bucket
+/// slot, or one in all.
+fn tasks_for(work: usize, slots: usize) -> usize {
+    if work < PAR_MIN_WORK {
+        1
+    } else {
+        slots
+    }
+}
 
 /// Dense vertex scan: gather every alive vertex with degree `< k` into
 /// `out` via the striped buffers (source order per stripe, stripes merged
@@ -362,174 +374,173 @@ fn collect_frontier_scan(
     stripes.drain_into(out);
 }
 
-/// Dense kill phase: contiguous edge ranges, one per decrement stripe; a
-/// live edge with a peeled endpoint dies, claimed by its first peeled
-/// endpoint in edge order (all peeled endpoints of a live edge were
-/// necessarily peeled *this* round, since an earlier peel would have
-/// killed the edge already). Degree decrements are *batched* into the
-/// task's own [`StripedCounters`] stripe — no atomic RMW per endpoint —
-/// and a post-barrier merge applies the summed deltas. With
-/// `collect_next`, the merge also collects the next frontier *exactly*:
-/// every unpeeled vertex has degree ≥ k when the round starts (anything
-/// below the threshold was collected into an earlier frontier and
-/// peeled), so a merged degree < k identifies precisely the vertices that
-/// crossed this round, each seen by exactly one merge task — no `queued`
-/// dedup bitset needed on this path.
-#[allow(clippy::too_many_arguments)] // engine phase over one shared state bundle
-fn kill_dense(
-    g: &Hypergraph,
-    k: u32,
+/// The state one round's kill phase reads and writes. Task `s` of either
+/// direction writes bucket slot `s` and nothing else of `decrements`.
+struct KillPhase<'a> {
+    g: &'a Hypergraph,
     round: u32,
-    deg: &[AtomicU32],
-    peeled: &AtomicBitset,
-    edge_kill_round: &[AtomicU32],
-    edge_killer: &[AtomicU32],
-    edge_alive: &AtomicBitset,
-    dec: &StripedCounters,
-    stripes: &Striped<u32>,
-    collect_next: bool,
-) -> u64 {
-    let m = g.num_edges();
-    let r = g.arity();
-    let endpoints = g.endpoints_flat();
-    let nstripes = dec.stripes();
-    let killed = AtomicU64::new(0);
-    // Accumulate phase: stripe `s` owns edges `s*m/S .. (s+1)*m/S` and is
-    // the single writer of decrement stripe `s`. `with_min_len(1)` makes
-    // the S-element dispatch actually split (S is far below the shim's
-    // default inline threshold).
-    (0..nstripes).into_par_iter().with_min_len(1).for_each(|s| {
-        let lo = s * m / nstripes;
-        let hi = (s + 1) * m / nstripes;
-        let mut local_killed = 0u64;
-        for e in lo..hi {
-            // The endpoint table streams sequentially; the peeled-bit
-            // probes are the data-dependent reads, so issue them a few
-            // edges early.
-            if e + DENSE_PREFETCH_AHEAD < hi {
-                let base = (e + DENSE_PREFETCH_AHEAD) * r;
-                for &w in &endpoints[base..base + r] {
-                    peeled.prefetch_bit(w as usize);
-                }
-            }
-            // Exactly one task examines each edge per round: plain
-            // loads and stores suffice, the alive bit is only cleared
-            // (never contended) here.
-            if !edge_alive.get(e) {
-                continue;
-            }
-            let verts = &endpoints[e * r..e * r + r];
-            let Some(&killer) = verts.iter().find(|&&w| peeled.get(w as usize)) else {
-                continue;
-            };
-            edge_alive.clear(e);
-            edge_kill_round[e].store(round, Relaxed);
-            edge_killer[e].store(killer, Relaxed);
-            local_killed += 1;
-            for &w in verts {
-                dec.add(s, w as usize);
-            }
-        }
-        if local_killed > 0 {
-            killed.fetch_add(local_killed, Relaxed);
-        }
-    });
-
-    // Merge phase (the accumulate barrier has passed): sum each touched
-    // vertex's stripes, apply the delta, and detect threshold crossings.
-    // Merge tasks own disjoint block ranges, so degree updates are plain
-    // load/store and each crossing vertex is pushed exactly once.
-    let n = g.num_vertices();
-    let blocks = dec.num_blocks();
-    (0..blocks).into_par_iter().with_min_len(8).for_each(|b| {
-        dec.drain_block(b, |v, delta| {
-            let old = deg[v].load(Relaxed);
-            debug_assert!(
-                old >= delta,
-                "degree underflow at vertex {v}: merged decrement {delta} exceeds degree {old} \
-                 (graph built with repeated endpoints beyond its incidence table?)"
-            );
-            let new = old - delta;
-            deg[v].store(new, Relaxed);
-            if collect_next && new < k && !peeled.get(v) {
-                stripes.lock(Striped::<u32>::stripe_of(v, n)).push(v as u32);
-            }
-        });
-    });
-    killed.into_inner()
+    peeled: &'a AtomicBitset,
+    edge_alive: &'a AtomicBitset,
+    edge_kill_round: &'a [AtomicU32],
+    edge_killer: &'a [AtomicU32],
+    decrements: &'a Buckets<u32>,
+    block_shift: u32,
 }
 
-/// Frontier kill phase: each frontier vertex streams its CSR adjacency
-/// run — edge id and the other endpoints inlined in one contiguous
-/// region — claiming live edges via an atomic test-and-clear on the
-/// edge-alive bitset (first claimer wins), decrementing the *other*
-/// endpoints as it goes (its own decrements are batched into one
-/// `fetch_sub` at the end: a frontier vertex is already peeled, so it can
-/// never re-cross the threshold), and queues endpoints that cross the
-/// threshold for the next frontier.
-#[allow(clippy::too_many_arguments)] // engine phase over one shared state bundle
-fn kill_frontier(
-    g: &Hypergraph,
-    k: u32,
-    round: u32,
-    frontier: &[u32],
-    deg: &[AtomicU32],
-    peeled: &AtomicBitset,
-    edge_kill_round: &[AtomicU32],
-    edge_killer: &[AtomicU32],
-    edge_alive: &AtomicBitset,
-    queued: &AtomicBitset,
-    stripes: &Striped<u32>,
-) -> u64 {
-    let len = frontier.len();
-    let r = g.arity();
-    let killed = AtomicU64::new(0);
-    frontier.par_iter().enumerate().for_each(|(i, &v)| {
-        // The adjacency run of a later frontier entry is this loop's only
-        // unpredictable read region; hint it a few entries ahead.
-        if let Some(&ahead) = frontier.get(i + FRONTIER_PREFETCH_AHEAD) {
-            g.prefetch_adjacency(ahead);
-        }
-        // One stripe guard per frontier vertex, taken lazily on the first
-        // queued discovery.
-        let mut pushed = None;
-        let mut local_killed = 0u64;
-        for run in g.adjacency(v).chunks_exact(r) {
-            let e = run[0] as usize;
-            // First claimer wins; the bitset test-and-clear is the CAS.
-            if edge_alive.test_and_clear(e) {
-                edge_kill_round[e].store(round, Relaxed);
-                edge_killer[e].store(v, Relaxed);
-                local_killed += 1;
-                for &w in &run[1..] {
-                    let old = deg[w as usize].fetch_sub(1, Relaxed);
-                    debug_assert!(
-                        old > 0,
-                        "degree underflow at vertex {w}: edge {e} decremented past zero \
-                         (graph built with repeated endpoints beyond its incidence table?)"
-                    );
-                    // The decrement that crosses the k boundary (and any
-                    // later one) sees old - 1 < k; `queued` deduplicates,
-                    // `peeled` excludes vertices peeled this round or
-                    // earlier.
-                    if old - 1 < k && !peeled.get(w as usize) && !queued.test_and_set(w as usize) {
-                        pushed
-                            .get_or_insert_with(|| stripes.lock(Striped::<u32>::stripe_of(i, len)))
-                            .push(w);
-                    }
-                }
+impl KillPhase<'_> {
+    /// Kill live edge `e` for its claimer `killer`, and bin one decrement
+    /// for each entry of `verts` that is not peeled (a repeated endpoint
+    /// is listed, and decremented, once per occurrence).
+    #[inline]
+    fn kill(&self, e: usize, killer: u32, verts: &[u32], out: &mut BucketWriter<'_, u32>) {
+        self.edge_alive.clear(e);
+        self.edge_kill_round[e].store(self.round, Relaxed);
+        self.edge_killer[e].store(killer, Relaxed);
+        for &w in verts {
+            if !self.peeled.get(w as usize) {
+                out.push((w >> self.block_shift) as usize, w);
             }
         }
-        if local_killed > 0 {
-            // v's own decrement for each edge it claimed, batched; other
-            // claimants of v's edges decrement v through their runs'
-            // "other endpoint" entries as usual.
-            let old = deg[v as usize].fetch_sub(local_killed as u32, Relaxed);
-            debug_assert!(old >= local_killed as u32, "degree underflow at vertex {v}");
-            killed.fetch_add(local_killed, Relaxed);
-        }
-    });
-    killed.into_inner()
+    }
+
+    /// Dense direction: task `s` scans the contiguous edge range
+    /// `s*m/T .. (s+1)*m/T`, and a live edge with a peeled endpoint dies,
+    /// claimed by the smallest one. Returns the number of edges killed.
+    fn dense(&self) -> u64 {
+        let m = self.g.num_edges();
+        let r = self.g.arity();
+        let endpoints = self.g.endpoints_flat();
+        let tasks = tasks_for(m, self.decrements.slots());
+        // `with_min_len(1)` makes the T-element dispatch actually split
+        // (T is far below the shim's default inline threshold).
+        (0..tasks)
+            .into_par_iter()
+            .with_min_len(1)
+            .map(|s| {
+                let mut out = self.decrements.writer(s);
+                let (lo, hi) = (s * m / tasks, (s + 1) * m / tasks);
+                let mut killed = 0u64;
+                for e in lo..hi {
+                    // The endpoint table streams sequentially; the
+                    // peeled-bit probes are the data-dependent reads, so
+                    // issue them a few edges early.
+                    if e + DENSE_PREFETCH_AHEAD < hi {
+                        let base = (e + DENSE_PREFETCH_AHEAD) * r;
+                        for &w in &endpoints[base..base + r] {
+                            self.peeled.prefetch_bit(w as usize);
+                        }
+                    }
+                    if !self.edge_alive.get(e) {
+                        continue;
+                    }
+                    let verts = &endpoints[e * r..e * r + r];
+                    let claimer = verts
+                        .iter()
+                        .copied()
+                        .filter(|&w| self.peeled.get(w as usize))
+                        .min();
+                    if let Some(killer) = claimer {
+                        self.kill(e, killer, verts, &mut out);
+                        killed += 1;
+                    }
+                }
+                killed
+            })
+            .sum()
+    }
+
+    /// Frontier direction: task `s` walks the `s`-th contiguous chunk of
+    /// the frontier, reading each vertex's CSR adjacency run, and a
+    /// frontier vertex kills each live incident edge it is the smallest
+    /// peeled endpoint of. Returns the number of edges killed.
+    fn frontier(&self, frontier: &[u32]) -> u64 {
+        let r = self.g.arity();
+        let len = frontier.len();
+        let tasks = tasks_for(len, self.decrements.slots());
+        (0..tasks)
+            .into_par_iter()
+            .with_min_len(1)
+            .map(|s| {
+                let mut out = self.decrements.writer(s);
+                let chunk = &frontier[s * len / tasks..(s + 1) * len / tasks];
+                let mut killed = 0u64;
+                for (i, &v) in chunk.iter().enumerate() {
+                    // The adjacency run of a later frontier entry is this
+                    // loop's only unpredictable read region; hint it a few
+                    // entries ahead.
+                    if let Some(&ahead) = chunk.get(i + FRONTIER_PREFETCH_AHEAD) {
+                        self.g.prefetch_adjacency(ahead);
+                    }
+                    // A repeated endpoint lists its edge once per
+                    // occurrence; the first claim clears the alive bit,
+                    // so the later runs skip the edge.
+                    for run in self.g.adjacency(v).chunks_exact(r) {
+                        let (e, others) = (run[0], &run[1..]);
+                        if !self.edge_alive.get(e as usize) {
+                            continue;
+                        }
+                        if others.iter().any(|&u| u < v && self.peeled.get(u as usize)) {
+                            continue; // a smaller peeled endpoint claims it
+                        }
+                        self.kill(e as usize, v, others, &mut out);
+                        killed += 1;
+                    }
+                }
+                killed
+            })
+            .sum()
+    }
+}
+
+/// Apply phase: each task owns whole vertex blocks (bins of
+/// `decrements`), drains every slot's decrements for them, and updates
+/// the block's degrees with plain load and store — it is their only
+/// writer. A vertex whose degree passes from `k` to `k − 1` joins the next
+/// frontier: it is unpeeled (peeled endpoints are never binned) and
+/// started the round at degree ≥ k, so it crosses exactly once. A
+/// block's crossings land together in its stripe, so the frontier comes
+/// out grouped by block. `in_flight` bounds the number of binned
+/// decrements (it sizes the dispatch).
+fn apply_decrements(
+    k: u32,
+    deg: &[AtomicU32],
+    decrements: &Buckets<u32>,
+    in_flight: usize,
+    stripes: &mut Striped<u32>,
+    frontier: &mut Vec<u32>,
+) {
+    let bins = decrements.bins();
+    let min_len = if in_flight < PAR_MIN_WORK { bins } else { 1 };
+    {
+        let stripes = &*stripes;
+        (0..bins)
+            .into_par_iter()
+            .with_min_len(min_len)
+            .for_each(|b| {
+                let mut next = None;
+                decrements.drain_bin(b, |ws| {
+                    for (i, &w) in ws.iter().enumerate() {
+                        if let Some(&ahead) = ws.get(i + INDEX_PREFETCH_AHEAD) {
+                            prefetch_index(deg, ahead as usize);
+                        }
+                        let d = deg[w as usize].load(Relaxed);
+                        debug_assert!(
+                            d > 0,
+                            "degree underflow at vertex {w} (graph built with repeated \
+                             endpoints beyond its incidence table?)"
+                        );
+                        deg[w as usize].store(d - 1, Relaxed);
+                        if d == k {
+                            next.get_or_insert_with(|| {
+                                stripes.lock(Striped::<u32>::stripe_of(b, bins))
+                            })
+                            .push(w);
+                        }
+                    }
+                });
+            });
+    }
+    stripes.drain_into(frontier);
 }
 
 #[cfg(test)]
@@ -839,9 +850,53 @@ mod tests {
         }
         let g = b.build().unwrap();
         let reference = peel_rounds_serial(&g, 3);
-        for opts in all_strategies() {
-            let out = peel_parallel(&g, 3, &opts);
-            assert_eq!(out.peel_round, reference.peel_round, "{:?}", opts.strategy);
+        let n = g.num_vertices() as u64;
+        for threads in [1, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for opts in all_strategies() {
+                let out = pool.install(|| peel_parallel(&g, 3, &opts));
+                assert_eq!(out.peel_round, reference.peel_round, "{:?}", opts.strategy);
+                // A doubly decremented vertex crosses k once: no vertex may
+                // join two frontiers.
+                let peeled: u64 = out.trace.iter().map(|s| s.peeled_vertices).sum();
+                assert_eq!(peeled, n - reference.core_vertices, "{:?}", opts.strategy);
+            }
+        }
+    }
+
+    #[test]
+    fn workspace_reuse_across_pool_widths_matches_serial() {
+        // The benchmark shares one workspace between a 1-thread and a
+        // many-thread lane. Bucket slots and the vertex-block size follow
+        // each run's pool, and every run must still match the serial
+        // reference, with the same killers at every width.
+        let mut rng = Xoshiro256StarStar::new(25);
+        let g = Gnm::new(20_000, 0.72, 4).sample(&mut rng);
+        let reference = peel_rounds_serial(&g, 2);
+        let mut ws = PeelWorkspace::new();
+        let mut killers = Vec::new();
+        for threads in [1, 4, 1] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for opts in all_strategies() {
+                let run = pool.install(|| peel_parallel_in(&g, 2, &opts, &mut ws));
+                let out = ws.outcome(&run);
+                let what = format!("{threads} threads, {:?}", opts.strategy);
+                assert_eq!(out.rounds, reference.rounds, "{what}");
+                assert_eq!(out.peel_round, reference.peel_round, "{what}");
+                assert_eq!(out.edge_kill_round, reference.edge_kill_round, "{what}");
+                assert_eq!(out.core_edges, reference.core_edges, "{what}");
+                if killers.is_empty() {
+                    killers = out.edge_killer;
+                } else {
+                    assert!(killers == out.edge_killer, "{what}: killers differ");
+                }
+            }
         }
     }
 

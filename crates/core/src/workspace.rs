@@ -2,13 +2,13 @@
 //!
 //! Every hot-path buffer a parallel peel needs lives in a
 //! [`PeelWorkspace`]: per-vertex degrees and peel rounds, per-edge kill
-//! metadata, the alive/queued bitsets, the frontier vector, the striped
-//! per-thread collection buffers, and the round trace. A fresh workspace
-//! owns nothing; the first peel sizes it, and every subsequent peel of a
-//! same-or-smaller graph reuses the buffers without touching the
-//! allocator — which is what makes repeated peeling (service reconcile
-//! epochs, simulation sweeps, benchmarks) allocation-free in steady
-//! state.
+//! metadata, the alive/peeled bitsets, the frontier vector, the striped
+//! collection buffers, the decrement buckets, and the round trace. A
+//! fresh workspace owns nothing; the first peel sizes it, and every
+//! later peel of a same-or-smaller graph reuses the buffers without
+//! touching the allocator — which is what makes repeated peeling (service
+//! reconcile epochs, simulation sweeps, benchmarks) allocation-free in
+//! steady state.
 //!
 //! [`crate::parallel::peel_parallel`] wraps a throwaway workspace for
 //! one-shot callers; [`crate::parallel::peel_parallel_in`] borrows yours.
@@ -19,7 +19,7 @@
 // synchronization; the engines' rayon barriers carry every needed edge.
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
-use peel_graph::bits::{AtomicBitset, Striped, StripedCounters};
+use peel_graph::bits::{AtomicBitset, Buckets, Striped};
 use peel_graph::Hypergraph;
 use rayon::prelude::*;
 
@@ -72,15 +72,15 @@ pub struct PeelWorkspace {
     pub(crate) edge_killer: Vec<AtomicU32>,
     /// One bit per edge: still live?
     pub(crate) edge_alive: AtomicBitset,
-    /// One bit per vertex: already queued for a future frontier?
-    pub(crate) queued: AtomicBitset,
     /// The current round's frontier.
     pub(crate) frontier: Vec<u32>,
-    /// Striped per-thread buffers the next frontier is collected into.
+    /// Striped buffers the next frontier is collected into.
     pub(crate) stripes: Striped<u32>,
-    /// Striped per-thread degree-decrement counters the dense kill phase
-    /// accumulates into, merged once per round.
-    pub(crate) dec: StripedCounters,
+    /// Degree decrements in flight: one slot per kill-phase task, one bin
+    /// per vertex block of `1 << block_shift` vertices.
+    pub(crate) decrements: Buckets<u32>,
+    /// `log2` of the vertex-block size the decrements are binned by.
+    pub(crate) block_shift: u32,
     /// Per-round statistics of the current/last run.
     pub(crate) trace: Vec<RoundStats>,
 }
@@ -94,13 +94,20 @@ impl Default for PeelWorkspace {
             edge_kill_round: Vec::new(),
             edge_killer: Vec::new(),
             edge_alive: AtomicBitset::new(),
-            queued: AtomicBitset::new(),
             frontier: Vec::new(),
             stripes: Striped::new(),
-            dec: StripedCounters::new(),
+            decrements: Buckets::new(),
+            block_shift: 0,
             trace: Vec::new(),
         }
     }
+}
+
+/// `log2` of the vertex-block size for `n` vertices and `threads` workers:
+/// about four blocks per worker, between 64 vertices and 2¹⁶ (a 256 KiB
+/// slice of the degree array, which its apply task updates inside L2).
+fn block_shift(n: usize, threads: usize) -> u32 {
+    (n / (4 * threads)).max(1).ilog2().clamp(6, 16)
 }
 
 fn reset_atomic_vec(v: &mut Vec<AtomicU32>, len: usize) {
@@ -124,16 +131,15 @@ impl PeelWorkspace {
         reset_atomic_vec(&mut self.edge_kill_round, m);
         reset_atomic_vec(&mut self.edge_killer, m);
         self.edge_alive.reset(m, true);
-        self.queued.reset(n, false);
         self.peeled.reset(n, false);
-        // One decrement stripe per worker the current pool will run: the
-        // dense kill phase assigns each stripe to exactly one task.
-        self.dec.reset(rayon::current_num_threads().clamp(1, 32), n);
+        // One decrement slot per worker of the current pool (each kill
+        // task writes one slot), one bin per vertex block.
+        let threads = rayon::current_num_threads().max(1);
+        self.block_shift = block_shift(n, threads);
+        let blocks = n.div_ceil(1 << self.block_shift);
+        self.decrements.reset(threads, blocks);
         self.frontier.clear();
         self.trace.clear();
-        // A previous truncated run (max_rounds) may have left stripe
-        // residue behind.
-        self.stripes.drain_each(|_| {});
         // Value initialization, in parallel for large graphs.
         let (deg, peel_round) = (&self.deg, &self.peel_round);
         (0..n as u32).into_par_iter().for_each(|v| {

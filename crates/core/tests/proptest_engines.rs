@@ -66,6 +66,23 @@ fn arb_partitioned() -> impl Strategy<Value = Hypergraph> {
     })
 }
 
+const STRATEGIES: [PeelStrategy; 3] = [
+    PeelStrategy::Dense,
+    PeelStrategy::Frontier,
+    PeelStrategy::Adaptive,
+];
+
+/// A 1-thread and a 4-thread pool: the width-sensitive parts of the
+/// engines (bucket slots, vertex-block size) follow the installed pool.
+fn pools() -> [rayon::ThreadPool; 2] {
+    [1, 4].map(|t| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(t)
+            .build()
+            .unwrap()
+    })
+}
+
 fn core_set(peel_round: &[u32]) -> Vec<u32> {
     peel_round
         .iter()
@@ -94,17 +111,22 @@ proptest! {
         }
     }
 
-    /// Synchronous semantics are engine-independent: identical round counts,
-    /// per-vertex peel rounds, and survivor series.
+    /// Synchronous semantics are engine- and width-independent: identical
+    /// round counts, per-vertex peel rounds, and survivor series, under
+    /// 1- and 4-thread pools.
     #[test]
     fn engines_agree_on_rounds(g in arb_hypergraph(), k in 1u32..=4) {
         let serial = peel_rounds_serial(&g, k);
-        for strategy in [PeelStrategy::Dense, PeelStrategy::Frontier, PeelStrategy::Adaptive] {
-            let out = peel_parallel(&g, k, &ParallelOpts { strategy, ..Default::default() });
-            prop_assert_eq!(out.rounds, serial.rounds, "{:?}", strategy);
-            prop_assert_eq!(&out.peel_round, &serial.peel_round, "{:?}", strategy);
-            prop_assert_eq!(&out.edge_kill_round, &serial.edge_kill_round, "{:?}", strategy);
-            prop_assert_eq!(out.survivor_series(), serial.survivor_series(), "{:?}", strategy);
+        for pool in &pools() {
+            for strategy in STRATEGIES {
+                let out = pool.install(|| {
+                    peel_parallel(&g, k, &ParallelOpts { strategy, ..Default::default() })
+                });
+                prop_assert_eq!(out.rounds, serial.rounds, "{:?}", strategy);
+                prop_assert_eq!(&out.peel_round, &serial.peel_round, "{:?}", strategy);
+                prop_assert_eq!(&out.edge_kill_round, &serial.edge_kill_round, "{:?}", strategy);
+                prop_assert_eq!(out.survivor_series(), serial.survivor_series(), "{:?}", strategy);
+            }
         }
     }
 
@@ -134,10 +156,10 @@ proptest! {
     }
 
     /// ISSUE 8 satellite: the CSR kill phases (vertex-sorted endpoint
-    /// runs, striped degree decrements, prefetch) must be *bit-identical*
+    /// runs, bucketed degree decrements, prefetch) must be *bit-identical*
     /// to the serial reference — every strategy, both random models,
     /// k ∈ {2, 3}, across seeds. Runs through one reused workspace so the
-    /// steady-state CSR/striped buffers (not fresh allocations) are what
+    /// steady-state CSR/bucket buffers (not fresh allocations) are what
     /// gets validated, and compares the complete per-vertex and per-edge
     /// round arrays, not just aggregate counts.
     #[test]
@@ -237,24 +259,32 @@ proptest! {
         }
     }
 
-    /// Claim validity: killers are endpoints, kill round equals the killer's
-    /// peel round, and for k<=2 each vertex claims at most one edge.
+    /// Claim validity, under 1- and 4-thread pools: the killer of each
+    /// dead edge is the smallest of its endpoints peeled in the edge's
+    /// kill round (so an endpoint, peeled in that round), and for k<=2
+    /// each vertex claims at most one edge.
     #[test]
     fn claims_are_valid(g in arb_hypergraph(), k in 1u32..=4) {
-        for strategy in [PeelStrategy::Dense, PeelStrategy::Frontier] {
-            let out = peel_parallel(&g, k, &ParallelOpts { strategy, ..Default::default() });
-            let mut per_vertex = vec![0u32; g.num_vertices()];
-            for (e, (&killer, &kr)) in out.edge_killer.iter().zip(&out.edge_kill_round).enumerate() {
-                prop_assert_eq!(killer == UNPEELED, kr == UNPEELED);
-                if killer != UNPEELED {
-                    prop_assert!(g.edge(e as u32).contains(&killer));
-                    prop_assert_eq!(out.peel_round[killer as usize], kr);
-                    per_vertex[killer as usize] += 1;
+        for pool in &pools() {
+            for strategy in STRATEGIES {
+                let out = pool.install(|| {
+                    peel_parallel(&g, k, &ParallelOpts { strategy, ..Default::default() })
+                });
+                let mut per_vertex = vec![0u32; g.num_vertices()];
+                for (e, (&killer, &kr)) in out.edge_killer.iter().zip(&out.edge_kill_round).enumerate() {
+                    prop_assert_eq!(killer == UNPEELED, kr == UNPEELED);
+                    if killer != UNPEELED {
+                        let smallest = g.edge(e as u32).iter().copied()
+                            .filter(|&w| out.peel_round[w as usize] == kr)
+                            .min();
+                        prop_assert_eq!(smallest, Some(killer), "{:?}: edge {}", strategy, e);
+                        per_vertex[killer as usize] += 1;
+                    }
                 }
-            }
-            if k <= 2 {
-                prop_assert!(per_vertex.iter().all(|&c| c <= 1),
-                    "k<=2 must give at most one claim per vertex");
+                if k <= 2 {
+                    prop_assert!(per_vertex.iter().all(|&c| c <= 1),
+                        "k<=2 must give at most one claim per vertex");
+                }
             }
         }
     }

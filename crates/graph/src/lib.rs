@@ -72,7 +72,7 @@ pub mod rng;
 pub mod stats;
 pub(crate) mod sync;
 
-pub use bits::{AtomicBitset, Striped, StripedCounters};
+pub use bits::{AtomicBitset, Buckets, Striped};
 pub use components::{edge_subgraph, Components, UnionFind};
 pub use error::GraphError;
 pub use hypergraph::{EdgeId, Hypergraph, HypergraphBuilder, Partition, VertexId};

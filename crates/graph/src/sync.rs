@@ -8,11 +8,11 @@
 //! one module means `bits.rs` and friends never mention `cfg(loom)`.
 
 #[cfg(loom)]
-pub(crate) use loom::sync::atomic::{AtomicU32, AtomicU64};
+pub(crate) use loom::sync::atomic::AtomicU64;
 #[cfg(loom)]
 pub(crate) use loom::sync::{Mutex, MutexGuard};
 
 #[cfg(not(loom))]
-pub(crate) use std::sync::atomic::{AtomicU32, AtomicU64};
+pub(crate) use std::sync::atomic::AtomicU64;
 #[cfg(not(loom))]
 pub(crate) use std::sync::{Mutex, MutexGuard};

@@ -1,4 +1,5 @@
-//! Exhaustive interleaving models for [`peel_graph::bits::AtomicBitset`].
+//! Exhaustive interleaving models for [`peel_graph::bits::AtomicBitset`]
+//! and [`peel_graph::bits::Buckets`].
 //!
 //! Build and run with `RUSTFLAGS="--cfg loom" cargo test -p peel-graph
 //! --test loom_bits`. Under that cfg the bitset's words are the vendored
@@ -9,7 +10,7 @@
 #![cfg(loom)]
 
 use loom::sync::Arc;
-use peel_graph::bits::{AtomicBitset, StripedCounters};
+use peel_graph::bits::{AtomicBitset, Buckets};
 
 /// The peeling claim protocol: `test_and_set` is a word `fetch_or`, so
 /// of two racing claimants for the same vertex exactly one sees the bit
@@ -112,65 +113,47 @@ fn get_then_clear_double_claim_is_caught_and_replays() {
     assert_eq!(replayed.message, failure.message);
 }
 
-/// The striped-decrement merge protocol from the dense kill phase: each
-/// worker `add`s into its *own* stripe (plain relaxed load+store, no
-/// RMW), the fork-join barrier ends the accumulate phase, and the merge
-/// sums every stripe per index. Under loom this verifies that the
-/// single-writer stores plus the join are enough — the drain must
-/// observe every increment from the spawned stripe even though nothing
-/// in the counter path is stronger than `Relaxed`.
+/// The kill phase's owner-computes exchange: two writers fill their own
+/// slots of a [`Buckets`] (plain `Vec` pushes behind a once-per-phase
+/// slot lock), the fork-join barrier ends the write phase, and each
+/// bin's owner drains it. Under loom this checks that the join is enough
+/// for the owner to see every entry exactly once, in slot order, however
+/// the writers interleave.
 #[test]
-fn striped_add_then_merge_loses_nothing() {
+fn bucket_writers_then_owner_drain_sees_each_entry_once() {
     loom::model(|| {
-        let mut sc = StripedCounters::new();
-        sc.reset(2, 4);
-        let sc = Arc::new(sc);
+        let mut bk = Buckets::new();
+        bk.reset(2, 2);
+        let bk = Arc::new(bk);
         let t = {
-            let sc = Arc::clone(&sc);
+            let bk = Arc::clone(&bk);
             loom::thread::spawn(move || {
-                // Stripe 1's owner: two touches of index 1, one of 2.
-                sc.add(1, 1);
-                sc.add(1, 1);
-                sc.add(1, 2);
+                // Slot 1's writer.
+                let mut w = bk.writer(1);
+                w.push(0, 10u32);
+                w.push(1, 11);
             })
         };
-        // Stripe 0's owner works concurrently on the same indices.
-        sc.add(0, 1);
-        sc.add(0, 3);
-        t.join().unwrap(); // the barrier that ends the accumulate phase
-        let mut totals = [0u32; 4];
-        sc.drain_block(0, |i, total| totals[i] = total);
-        assert_eq!(totals, [0, 3, 1, 1], "merge lost a striped increment");
-        // Drained: the block is clean and a second drain sees nothing.
-        sc.drain_block(0, |_, _| panic!("drain must have zeroed the block"));
-    });
-}
-
-/// The misuse the single-writer protocol rules out: two threads `add`ing
-/// to the *same* stripe race the non-atomic load+store cycle, and the
-/// checker finds the lost-update interleaving (both load 0, both store
-/// 1). This is why the dense kill phase hands each worker its own
-/// stripe index — `add` on a shared stripe is not a fetch_add.
-#[test]
-fn same_stripe_adds_lose_updates_and_loom_catches_it() {
-    let race = || {
-        let mut sc = StripedCounters::new();
-        sc.reset(1, 2);
-        let sc = Arc::new(sc);
-        let t = {
-            let sc = Arc::clone(&sc);
-            loom::thread::spawn(move || sc.add(0, 0))
+        // Slot 0's writer runs concurrently with the spawned one.
+        let mut w = bk.writer(0);
+        w.push(0, 0u32);
+        w.push(0, 1);
+        drop(w);
+        t.join().unwrap(); // the barrier that ends the write phase
+        let drained = |b| {
+            let mut items = Vec::new();
+            bk.drain_bin(b, |xs| items.extend_from_slice(xs));
+            items
         };
-        sc.add(0, 0);
-        t.join().unwrap();
-        let mut total = 0;
-        sc.drain_block(0, |i, v| {
-            if i == 0 {
-                total = v;
-            }
-        });
-        assert_eq!(total, 2, "same-stripe add lost an update");
-    };
-    let failure = loom::explore(race).expect_err("the checker must find the lost update");
-    assert!(failure.message.contains("lost an update"));
+        assert_eq!(
+            drained(0),
+            vec![0, 1, 10],
+            "bin 0 lost or reordered an entry"
+        );
+        assert_eq!(drained(1), vec![11], "bin 1 lost or reordered an entry");
+        assert!(
+            drained(0).is_empty() && drained(1).is_empty(),
+            "a drain must empty its bin"
+        );
+    });
 }
